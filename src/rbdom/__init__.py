@@ -28,7 +28,6 @@ from .io import (
     write_edge_list,
     write_report_csv,
 )
-from .kernels import NUMBA_ENABLED
 from .pipeline import (
     AggregateStats,
     RunReport,
@@ -61,7 +60,6 @@ __all__ = [
     "INFEASIBLE",
     "InvariantError",
     "LiftRecord",
-    "NUMBA_ENABLED",
     "ParseError",
     "PsiMap",
     "RBInstance",

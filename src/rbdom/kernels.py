@@ -1,10 +1,7 @@
-"""JIT-compiled inner loops for the reduction and approximation passes.
+"""Inner loops for the reduction and approximation passes.
 
 Every kernel works on flat CSR adjacency arrays (``indptr``/``indices``) plus
-numpy state vectors, so the same code runs either compiled under numba's
-nopython mode or as plain interpreted Python. Set ``RBDOM_DISABLE_NUMBA=1``
-in the environment before import to force the interpreted path; nothing else
-in the package changes. ``benchmarks/bench_kernels.py`` compares the two.
+numpy state vectors.
 
 Priority queues are binary heaps on preallocated int64 arrays. Entries pack
 (priority, vertex) into one int64 as ``priority << 32 | vertex`` so ties
@@ -13,30 +10,7 @@ entries are never removed eagerly; a popped entry is valid only if its packed
 priority still matches the current state (lazy deletion).
 """
 
-import os
-
 import numpy as np
-
-NUMBA_ENABLED = False
-if os.environ.get("RBDOM_DISABLE_NUMBA", "").strip().lower() not in ("1", "true", "yes"):
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        """No-op stand-in so the kernels below run interpreted."""
-
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 # Priority values must stay below 2**31 so the packed entry fits in int64;
@@ -45,7 +19,6 @@ _PRI_CAP = (1 << 31) - 1
 _ID_MASK = (1 << 32) - 1
 
 
-@njit(cache=True)
 def _heap_push(heap, size, item):
     """Push ``item`` onto the min-heap stored in ``heap[:size]``."""
     heap[size] = item
@@ -61,7 +34,6 @@ def _heap_push(heap, size, item):
     return size + 1
 
 
-@njit(cache=True)
 def _heap_pop(heap, size):
     """Pop the minimum item; returns (item, new_size)."""
     top = heap[0]
@@ -84,7 +56,6 @@ def _heap_pop(heap, size):
     return top, size
 
 
-@njit(cache=True)
 def degeneracy_kernel(n, indptr, indices):
     """Peel vertices in increasing current-degree order (bucket queue).
 
@@ -141,20 +112,15 @@ def degeneracy_kernel(n, indptr, indices):
     return order, d_out
 
 
-@njit(cache=True)
 def scd_nbr_kernel(n, indptr, indices):
     """scd_nbr(v) = sum of deg(u) over neighbors u of v, on the static graph."""
-    scd = np.zeros(n, np.int64)
-    for v in range(n):
-        s = 0
-        for idx in range(indptr[v], indptr[v + 1]):
-            u = indices[idx]
-            s += indptr[u + 1] - indptr[u]
-        scd[v] = s
-    return scd
+    deg = np.diff(indptr)
+    # prefix sums of deg over the adjacency list, differenced at row bounds
+    csum = np.zeros(indices.shape[0] + 1, np.int64)
+    np.cumsum(deg[indices], out=csum[1:])
+    return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
-@njit(cache=True)
 def pendant_sweep_kernel(n, indptr, indices, blue):
     """Exhaustive pendant pass: recolor around each blue degree-1 vertex.
 
@@ -178,7 +144,6 @@ def pendant_sweep_kernel(n, indptr, indices, blue):
     return reps[:k]
 
 
-@njit(cache=True)
 def lossy_greedy_kernel(n, indptr, indices, blue):
     """One greedy pass pairing pool vertices x with far-apart images z.
 
@@ -290,7 +255,6 @@ def lossy_greedy_kernel(n, indptr, indices, blue):
     return xs[:k], zs[:k]
 
 
-@njit(cache=True)
 def greedy_cover_kernel(n, indptr, indices, blue, tie, untie):
     """Greedy blue cover: take the vertex covering the most blue, repeat.
 

@@ -66,8 +66,6 @@ class ReductionTrace:
 
 def scd_nbr(g):
     """Per-vertex sum of neighbor degrees (bounds the distance-2 ball size)."""
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int64)
     return scd_nbr_kernel(g.n, g.indptr, g.indices)
 
 

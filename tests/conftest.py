@@ -63,13 +63,18 @@ def pendant_reference(g, blue):
         blue -= closed[u]
 
 
+def scd_nbr_reference(g):
+    """Per-vertex sum of neighbor degrees, by looping over adjacency sets."""
+    nbrs = adj_sets(g)
+    return [sum(len(nbrs[u]) for u in nbrs[v]) for v in range(g.n)]
+
+
 def lossy_reference(g, blue):
     """Set-based replay of the lossy greedy; returns (xs, psi, blue)."""
     blue = set(blue)
     nbrs = adj_sets(g)
     closed = closed_sets(g)
-    deg = [g.degree(v) for v in range(g.n)]
-    scd = [sum(deg[u] for u in nbrs[v]) for v in range(g.n)]
+    scd = scd_nbr_reference(g)
     pool = set(blue)
     blocked = set()
     xs, psi = [], {}
@@ -95,13 +100,17 @@ def lossy_reference(g, blue):
     return xs, psi, blue
 
 
-def greedy_cover_reference(g, blue):
-    """Set-based greedy cover; returns picks in order."""
+def greedy_cover_reference(g, blue, rank=None):
+    """Set-based greedy cover; returns picks in order.
+
+    Ties on cover size go to the lowest ``rank[v]`` (default: vertex id).
+    """
     blue = set(blue)
     closed = closed_sets(g)
+    rank = range(g.n) if rank is None else rank
     picks = []
     while blue:
-        v = min(range(g.n), key=lambda v: (-len(closed[v] & blue), v))
+        v = min(range(g.n), key=lambda v: (-len(closed[v] & blue), rank[v]))
         picks.append(v)
         blue -= closed[v]
     return picks

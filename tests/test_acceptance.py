@@ -258,7 +258,7 @@ def test_preferential_attachment_rarely_improves():
 
 
 def test_reduction_and_pipeline_performance():
-    # warm the JIT cache outside the timed region
+    # warm-up call outside the timed region
     small = gen_gnp(200, 8.0, 1)
     run_exp_la(small)
 

@@ -2,7 +2,16 @@ import math
 
 import numpy as np
 
-from rbdom import Approximator, RBInstance, all_blue, approximate, is_valid_solution
+from rbdom import (
+    Approximator,
+    RBInstance,
+    all_blue,
+    approximate,
+    degeneracy_order,
+    is_valid_solution,
+)
+from rbdom.kernels import greedy_cover_kernel
+from rbdom.pipeline import reduce_instance
 
 from conftest import cycle_graph, domination_number, greedy_cover_reference, random_graph, star_graph
 
@@ -25,12 +34,27 @@ def test_c6_matches_optimum():
 
 
 def test_matches_reference_greedy(rng):
+    # pick order, not only the set, for both tie rules and three colourings
     for _ in range(60):
         g = random_graph(rng, n_max=30)
-        inst = all_blue(g)
-        got = approximate(inst)
-        assert got == set(greedy_cover_reference(g, range(g.n)))
-        assert inst.blue_count == g.n  # caller state untouched
+        reduced = all_blue(g)
+        reduce_instance(reduced, lossy=True)
+        ident = np.arange(g.n, dtype=np.int64)
+        order, _ = degeneracy_order(g)
+        rank = np.empty(g.n, dtype=np.int64)
+        rank[order] = ident
+        for blue in (np.ones(g.n, dtype=bool), rng.random(g.n) < 0.5, reduced.blue):
+            inst = RBInstance(g, blue.copy())
+            targets = np.flatnonzero(blue).tolist()
+            for which, tie, untie in (
+                (Approximator.GREEDY_COVER, ident, ident),
+                (Approximator.DEGENERACY_GUIDED, rank, order),
+            ):
+                want = greedy_cover_reference(g, targets, tie)
+                got = greedy_cover_kernel(g.n, g.indptr, g.indices, blue.copy(), tie, untie)
+                assert got.tolist() == want
+                assert approximate(inst, which) == set(want)
+            assert np.array_equal(inst.blue, blue)  # caller state untouched
 
 
 def test_output_always_valid_and_deterministic(rng):

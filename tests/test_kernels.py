@@ -1,16 +1,8 @@
-"""Backend checks: the numba path and the interpreted fallback must agree."""
-
-import os
-import subprocess
-import sys
-import textwrap
+"""The packed-priority binary heap shared by the greedy kernels."""
 
 import numpy as np
 
-import rbdom
 from rbdom.kernels import _heap_pop, _heap_push
-
-from conftest import random_graph
 
 
 def test_heap_sorts(rng):
@@ -24,61 +16,3 @@ def test_heap_sorts(rng):
         item, size = _heap_pop(heap, size)
         popped.append(item)
     assert popped == sorted(int(v) for v in values)
-
-
-_FALLBACK_SCRIPT = textwrap.dedent(
-    """
-    import json
-    import sys
-
-    import rbdom
-    from rbdom import all_blue, build_graph
-    from rbdom.pipeline import reduce_instance
-    from rbdom.approx import approximate
-
-    assert not rbdom.NUMBA_ENABLED, "env flag should disable numba"
-    edges = json.loads(sys.argv[1])
-    n = int(sys.argv[2])
-    g = build_graph(n, edges)
-    inst = all_blue(g)
-    trace = reduce_instance(inst, lossy=True, check_psi=True)
-    out = {
-        "records": [sorted(r.add_set) for r in trace.records],
-        "blue": sorted(int(v) for v in inst.blue_vertices()),
-        "greedy": sorted(approximate(inst)),
-        "degeneracy": rbdom.degeneracy_order(g)[1],
-    }
-    print(json.dumps(out))
-    """
-)
-
-
-def test_pure_python_fallback_matches_numba(rng, tmp_path):
-    import json
-
-    from rbdom import all_blue, degeneracy_order
-    from rbdom.approx import approximate
-    from rbdom.pipeline import reduce_instance
-
-    script = tmp_path / "fallback_check.py"
-    script.write_text(_FALLBACK_SCRIPT)
-    env = dict(os.environ, RBDOM_DISABLE_NUMBA="1")
-
-    for _ in range(3):
-        g = random_graph(rng, n_max=40, n_min=10)
-        edges = [[u, v] for u, v in g.edges()]
-        proc = subprocess.run(
-            [sys.executable, str(script), json.dumps(edges), str(g.n)],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        got = json.loads(proc.stdout)
-
-        inst = all_blue(g)
-        trace = reduce_instance(inst, lossy=True, check_psi=True)
-        assert got["records"] == [sorted(r.add_set) for r in trace.records]
-        assert got["blue"] == sorted(int(v) for v in inst.blue_vertices())
-        assert got["greedy"] == sorted(approximate(inst))
-        assert got["degeneracy"] == degeneracy_order(g)[1]

@@ -23,6 +23,7 @@ from conftest import (
     path_graph,
     pendant_reference,
     random_graph,
+    scd_nbr_reference,
     star_graph,
 )
 
@@ -119,6 +120,7 @@ def test_lossy_matches_reference(rng):
             assert xs == []
             continue
         assert sorted(rec.add_set) == sorted(xs)
+        assert list(rec.psi.images) == xs
         assert rec.psi.images == psi
         assert set(inst.blue_vertices().tolist()) == blue
         assert verify_psi(before, rec.psi)
@@ -138,14 +140,21 @@ def test_lossy_after_pendant_pipeline(rng):
         if rec is None:
             assert xs == []
         else:
+            assert list(rec.psi.images) == xs
             assert rec.psi.images == psi
             assert set(inst.blue_vertices().tolist()) == blue
             assert verify_psi(before, rec.psi)
 
 
-def test_scd_nbr():
+def test_scd_nbr(rng):
     g = path_graph(7)
     assert scd_nbr(g).tolist() == [2, 3, 4, 4, 4, 3, 2]
+    assert scd_nbr(build_graph(0, [])).tolist() == []
+    for _ in range(30):
+        g = random_graph(rng, n_max=30)
+        got = scd_nbr(g)
+        assert got.dtype == np.int64
+        assert got.tolist() == scd_nbr_reference(g)
 
 
 def test_verify_psi_empty():
