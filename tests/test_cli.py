@@ -54,6 +54,13 @@ def test_solve_exact(graph_file, capsys):
     assert out[0] == "EX=1 proven=true lb=1"
 
 
+def test_solve_exact_rejects_infinite_time_limit(graph_file, capsys):
+    assert cli_main(
+        ["solve", "--input", str(graph_file), "--mode", "exact", "--time-limit", "inf"]
+    ) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_verify_psi_flag(graph_file):
     assert cli_main(
         ["solve", "--input", str(graph_file), "--mode", "la", "--verify-psi"]
