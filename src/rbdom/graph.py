@@ -39,12 +39,16 @@ class Graph:
     def degrees(self):
         return np.diff(self.indptr)
 
+    def edge_array(self):
+        """Edges as an (m, 2) int64 array of rows (u, v) with u < v, sorted."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = src < self.indices
+        return np.column_stack((src[upper], self.indices[upper]))
+
     def edges(self):
-        """Iterate edges as (u, v) with u < v, sorted."""
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, int(v)
+        """Iterate edges as (u, v) with u < v, sorted, as Python ints."""
+        pairs = self.edge_array()
+        yield from zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -13,6 +13,8 @@ for "absent".
 import logging
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from .graph import build_graph
 
 logger = logging.getLogger(__name__)
@@ -32,7 +34,70 @@ def parse_edge_list(text):
     """Parse the edge list format into a Graph.
 
     Self-loops and duplicate edges are dropped with a logged warning count.
+    Text in the documented format is read in bulk; anything else goes
+    through the line scanner, which names the first malformed line.
     """
+    parsed = _bulk_edge_list(text)
+    n, edges = _scan_edge_list(text) if parsed is None else parsed
+    g = build_graph(n, edges)
+    dropped = len(edges) - g.m
+    if dropped:
+        logger.warning("edge list: dropped %d duplicate/self-loop entries", dropped)
+    return g
+
+
+# byte classes of the bulk edge-list reader
+_DIGIT, _BLANK, _NEWLINE, _OTHER = range(4)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+# longer digit runs may not fit in int64
+_MAX_DIGITS = 18
+
+
+def _bulk_edge_list(text):
+    """(n, (m, 2) int64 edges) of plain text, or None to defer to the scanner.
+
+    Plain text holds only ASCII digits, spaces, tabs and LF, which is what
+    write_edge_list emits; comments, CRs and every other byte go to the
+    scanner. The checks on the header, the tokens per line, the edge count
+    and the id range are done on whole arrays; any failure returns None.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cls = _BYTE_CLASS[buf]
+    if (cls == _OTHER).any():
+        return None
+    # tokens are the digit runs: starts at even, ends at odd bounds
+    bounds = np.flatnonzero(np.diff(cls == _DIGIT, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    # a header plus edges, two tokens on every non-blank line
+    if starts.size < 2 or starts.size % 2:
+        return None
+    lines = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
+    del cls
+    if (lines[0::2] != lines[1::2]).any() or (lines[1:-1:2] == lines[2::2]).any():
+        return None
+    del lines
+    width = ends - starts
+    longest = int(width.max())
+    if longest > _MAX_DIGITS:
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    for j in range(longest):
+        digit = np.where(width > j, buf[ends - 1 - j], ord("0")) - ord("0")
+        values += digit.astype(np.int64) * 10**j
+    n, m = int(values[0]), int(values[1])
+    edges = values[2:].reshape(-1, 2)
+    if edges.shape[0] != m or (edges >= n).any():
+        return None
+    return n, edges
+
+
+def _scan_edge_list(text):
+    """(n, [(u, v), ...]) line by line; raises ParseError naming the first bad line."""
     header = None
     edges = []
     n = m = 0
@@ -65,18 +130,21 @@ def parse_edge_list(text):
         raise ParseError("line 1: missing header 'n m'")
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}")
-    g = build_graph(n, edges)
-    dropped = len(edges) - g.m
-    if dropped:
-        logger.warning("edge list: dropped %d duplicate/self-loop entries", dropped)
-    return g
+    return n, edges
+
+
+# edges formatted per string operation by write_edge_list
+_WRITE_CHUNK = 4096
 
 
 def write_edge_list(g):
     """Serialize a Graph to the edge list format."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    flat = g.edge_array().ravel()
+    out = [f"{g.n} {g.m}\n"]
+    for i in range(0, flat.size, 2 * _WRITE_CHUNK):
+        chunk = flat[i : i + 2 * _WRITE_CHUNK].tolist()
+        out.append("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
+    return "".join(out)
 
 
 def parse_matrix_market(text, density_limit=DENSITY_LIMIT, strict_density=False):

@@ -6,11 +6,14 @@ against.
 """
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
 
-from rbdom import build_graph
+from rbdom import ParseError, build_graph
+
+logger = logging.getLogger(__name__)
 
 
 def adj_sets(g):
@@ -114,6 +117,54 @@ def greedy_cover_reference(g, blue, rank=None):
         picks.append(v)
         blue -= closed[v]
     return picks
+
+
+def parse_edge_list_reference(text):
+    """The line-by-line edge-list parser the bulk reader replaced."""
+    header = None
+    edges = []
+    n = m = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected header 'n m'")
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer header") from None
+            if n < 0 or m < 0:
+                raise ParseError(f"line {lineno}: negative counts in header")
+            header = lineno
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected edge 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer edge") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
+        edges.append((u, v))
+    if header is None:
+        raise ParseError("line 1: missing header 'n m'")
+    if len(edges) != m:
+        raise ParseError(f"header promised {m} edges, found {len(edges)}")
+    g = build_graph(n, edges)
+    dropped = len(edges) - g.m
+    if dropped:
+        logger.warning("edge list: dropped %d duplicate/self-loop entries", dropped)
+    return g
+
+
+def write_edge_list_reference(g):
+    """The per-edge formatter write_edge_list replaced, walking the CSR rows."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u in range(g.n) for v in g.neighbors(u) if u < v)
+    return "\n".join(lines) + "\n"
 
 
 def random_edges(rng, n, p):

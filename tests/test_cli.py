@@ -77,6 +77,12 @@ def test_solve_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.el"
     bad.write_text("not a header\n")
     assert cli_main(["solve", "--input", str(bad), "--mode", "aa"]) == 1
+    assert "line 1" in capsys.readouterr().err
+    # valid digits up to line 4, so the bulk reader hands over to the line scanner
+    out_of_range = tmp_path / "range.el"
+    out_of_range.write_text("5 3\n0 1\n1 2\n0 9\n")
+    assert cli_main(["solve", "--input", str(out_of_range), "--mode", "aa"]) == 1
+    assert "line 4: edge (0, 9) out of range for n=5" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_1(capsys):

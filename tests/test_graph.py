@@ -60,6 +60,13 @@ def test_build_idempotent_under_permutation_and_duplication(rng):
         assert build_graph(g.n, doubled) == g
 
 
+def test_edges_sorted_python_ints():
+    g = build_graph(4, [(2, 1), (0, 3), (1, 0), (3, 2)])
+    edges = list(g.edges())
+    assert edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert all(type(u) is int and type(v) is int for u, v in edges)
+
+
 def test_closed_neighborhood():
     p3 = path_graph(3)
     assert set(closed_neighborhood(p3, 1)) == {0, 1, 2}

@@ -1,11 +1,14 @@
 import logging
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbdom import (
     ParseError,
     UnsupportedFormatError,
     build_graph,
+    gen_gnp,
     parse_edge_list,
     parse_matrix_market,
     write_edge_list,
@@ -14,7 +17,12 @@ from rbdom import (
 from rbdom.io import round_half_up
 from rbdom.pipeline import AggregateStats, RunReport
 
-from conftest import path_graph, random_graph
+from conftest import (
+    parse_edge_list_reference,
+    path_graph,
+    random_graph,
+    write_edge_list_reference,
+)
 
 
 def test_parse_edge_list_p3():
@@ -59,6 +67,137 @@ def test_edge_list_round_trip(rng):
 def test_edge_list_round_trip_degenerate_graphs():
     for g in (build_graph(0, []), build_graph(4, [])):
         assert parse_edge_list(write_edge_list(g)) == g
+
+
+def test_write_edge_list_bytes():
+    assert write_edge_list(path_graph(3)) == "3 2\n0 1\n1 2\n"
+    assert write_edge_list(build_graph(0, [])) == "0 0\n"
+    assert write_edge_list(build_graph(4, [])) == "4 0\n"
+    g = gen_gnp(3000, 8.0, 1)
+    assert write_edge_list(g) == write_edge_list_reference(g)
+
+
+# one of these, or none, is applied to each drawn text
+_TOKEN_MUTATIONS = (
+    "plus_sign",
+    "arabic_digit",
+    "long_id",
+    "negative_id",
+    "out_of_range_id",
+    "one_token_line",
+    "three_token_line",
+    "header_m_off_by_one",
+    "trailing_comment",
+    "two_edges_on_one_line",
+    "edge_over_two_lines",
+    "stray_line",
+)
+# characters str.splitlines breaks at, inserted anywhere
+_INSERTED_BREAKS = {"lone_cr": "\r", "form_feed": "\f", "unicode_line_break": "\u2028"}
+_BLANK_LINES = ("", " ", "\t")
+_COMMENT_LINES = ("#", "# a comment 1 2", "  # 0 1", "\t#\tx", "#\u00e9")
+_STRAY_LINES = ("% comment", "x y", "0 1 # 2", "4 #")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text for a small graph, randomly formatted and maybe broken once.
+
+    Line ends and comments are drawn per text, so that plain texts, which the
+    bulk reader takes, are drawn as often as those left to the scanner.
+    """
+    n = draw(st.integers(0, 30))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=40)) if n else []
+    rows = [[str(n), str(len(pairs))]] + [[str(u), str(v)] for u, v in pairs]
+    rows = [["0" * draw(st.integers(0, 2)) + tok for tok in row] for row in rows]
+
+    mutation = draw(st.sampled_from((None,) + _TOKEN_MUTATIONS + tuple(_INSERTED_BREAKS)))
+    row = draw(st.integers(0, len(rows) - 1))
+    col = draw(st.integers(0, 1))
+    if mutation == "plus_sign":
+        rows[row][col] = "+" + rows[row][col]
+    elif mutation == "arabic_digit":
+        rows[row][col] += "\u0661"
+    elif mutation == "long_id":
+        rows[row][col] = draw(
+            st.sampled_from(
+                ("9999999999999999999", "10000000000000000000", "99999999999999999999", "00000000000000000001")
+            )
+        )
+    elif mutation == "negative_id":
+        rows[row][col] = "-" + rows[row][col]
+    elif mutation == "out_of_range_id":
+        rows[row][col] = str(n)
+    elif mutation == "one_token_line":
+        del rows[row][col]
+    elif mutation == "three_token_line":
+        rows[row].append(str(draw(ids)))
+    elif mutation == "header_m_off_by_one":
+        rows[0][1] = str(len(pairs) + draw(st.sampled_from((-1, 1))))
+    elif mutation == "trailing_comment":
+        rows[row].append("#")
+    elif mutation == "two_edges_on_one_line" and row + 1 < len(rows):
+        rows[row] += rows.pop(row + 1)
+    elif mutation == "edge_over_two_lines":
+        rows.insert(row + 1, [rows[row].pop()])
+    elif mutation == "stray_line":
+        rows.insert(row, [draw(st.sampled_from(_STRAY_LINES))])
+
+    if draw(st.booleans()):
+        fillers, newline = _BLANK_LINES, "\n"
+    else:
+        fillers = draw(st.sampled_from((_BLANK_LINES, _BLANK_LINES + _COMMENT_LINES)))
+        newline = draw(st.sampled_from(("\n", "\r\n")))
+    lines = []
+    for tokens in rows:
+        lines += draw(st.lists(st.sampled_from(fillers), max_size=2))
+        lead = draw(st.sampled_from(("", " ", "\t", " \t")))
+        sep = draw(st.sampled_from((" ", "\t", "  ", " \t ")))
+        trail = draw(st.sampled_from(("", " ", "\t")))
+        lines.append(lead + sep.join(tokens) + trail)
+    lines += draw(st.lists(st.sampled_from(fillers), max_size=2))
+    text = "".join(line + newline for line in lines)
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")
+
+    if mutation in _INSERTED_BREAKS:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + _INSERTED_BREAKS[mutation] + text[at:]
+    return text
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(parse, text):
+    """The graph parse builds from text, or its exception, with the messages it logs."""
+    handler = _Messages()
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        result = ("graph", parse(text))
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    finally:
+        root.removeHandler(handler)
+    return result, handler.messages
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(edge_list_texts())
+@example("3 1\n0\r1\n")
+@example("12345678901234567890 0\n")
+@example("3 1\n0 3\n")
+@example("3 1\n0 9999999999999999999\n")
+def test_parse_edge_list_matches_reference(text):
+    assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
 
 
 MTX_P3 = """%%MatrixMarket matrix coordinate pattern symmetric
