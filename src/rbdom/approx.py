@@ -10,13 +10,53 @@ import enum
 
 import numpy as np
 
-from .graph import degeneracy_order
-from .kernels import greedy_cover_kernel
+from .graph import _neighbor_sums, degeneracy_order
+from .kernels import _ID_MASK, _PRI_CAP, _heap_pop, _heap_push
 
 
 class Approximator(enum.Enum):
     GREEDY_COVER = "greedy"
     DEGENERACY_GUIDED = "degeneracy"
+
+
+def _greedy_picks(g, blue, tie, untie):
+    """Greedy blue cover: take the vertex covering the most blue, repeat.
+
+    ``tie[v]`` is the tie-break rank of v and ``untie`` its inverse
+    permutation; identity arrays give lowest-id tie-breaking, a degeneracy
+    ranking gives the degeneracy-guided variant. ``blue`` is mutated in
+    place. Returns the chosen vertices in pick order.
+    """
+    indptr, indices = g.indptr, g.indices
+    picks = []
+    nblue = int(np.count_nonzero(blue))
+    cover = _neighbor_sums(g, blue) + blue
+
+    heap = np.empty(2 * g.n + indices.shape[0] + 2, np.int64)
+    size = 0
+    cap = _PRI_CAP
+    for v in np.flatnonzero(cover).tolist():
+        size = _heap_push(heap, size, ((cap - cover[v]) << 32) | tie[v])
+
+    while nblue > 0:
+        item, size = _heap_pop(heap, size)
+        v = untie[item & _ID_MASK]
+        if cover[v] != cap - (item >> 32) or cover[v] == 0:
+            continue
+        picks.append(int(v))
+        for off in range(-1, indptr[v + 1] - indptr[v]):
+            w = v if off == -1 else indices[indptr[v] + off]
+            if blue[w]:
+                blue[w] = False
+                nblue -= 1
+                for woff in range(-1, indptr[w + 1] - indptr[w]):
+                    t = w if woff == -1 else indices[indptr[w] + woff]
+                    cover[t] -= 1
+                    if cover[t] > 0:
+                        size = _heap_push(
+                            heap, size, ((cap - cover[t]) << 32) | tie[t]
+                        )
+    return picks
 
 
 def approximate(inst, which=Approximator.GREEDY_COVER):
@@ -28,15 +68,10 @@ def approximate(inst, which=Approximator.GREEDY_COVER):
     position in the degeneracy ordering. Returns a valid solution set.
     """
     g = inst.graph
-    if g.n == 0:
-        return set()
     if which is Approximator.DEGENERACY_GUIDED:
         untie, _ = degeneracy_order(g)
         tie = np.empty(g.n, dtype=np.int64)
         tie[untie] = np.arange(g.n, dtype=np.int64)
     else:
-        tie = np.arange(g.n, dtype=np.int64)
-        untie = tie
-    blue = inst.blue.copy()
-    sol = greedy_cover_kernel(g.n, g.indptr, g.indices, blue, tie, untie)
-    return set(int(v) for v in sol)
+        tie = untie = np.arange(g.n, dtype=np.int64)
+    return set(_greedy_picks(g, inst.blue.copy(), tie, untie))

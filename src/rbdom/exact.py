@@ -120,14 +120,31 @@ def exact_min(inst, time_budget=30.0):
     left -= work
     if root_lb >= best_size:
         return set(best), True, best_size
+    if left <= 0:
+        return set(best), False, root_lb
 
     chosen = []
     # one frame per open node: [branch index in by_ball, dominated mask,
-    # banned mask, options not yet tried]
-    stack = []
+    # banned mask, options not yet tried]; the root branches on by_ball[0]
+    stack = [[0, 0, 0, ball[by_ball[0]]]]
     truncated = False
-    dom = banned = scan = 0
-    while True:
+    while stack:
+        # descend into the next untried option of the deepest open node
+        frame = stack[-1]
+        del chosen[len(stack) - 1 :]
+        scan, node_dom, banned, options = frame
+        if options == 0:
+            stack.pop()
+            continue
+        low = options & -options
+        u = low.bit_length() - 1
+        # solutions containing u are fully explored once its subtree ends
+        frame[2] = banned | low
+        frame[3] = options ^ low
+        left -= (ball[u] & ~node_dom).bit_count() + 1
+        chosen.append(u)
+        dom = node_dom | ball[u]
+
         # evaluate the node reached by the vertices in chosen
         depth = len(chosen)
         if blue & ~dom == 0:
@@ -146,25 +163,6 @@ def exact_min(inst, time_budget=30.0):
                 while dom >> by_ball[i] & 1:
                     i += 1
                 stack.append([i, dom, banned, ball[by_ball[i]] & ~banned])
-        # descend into the next untried option of the deepest open node
-        while stack:
-            frame = stack[-1]
-            del chosen[len(stack) - 1 :]
-            scan, node_dom, banned, options = frame
-            if options == 0:
-                stack.pop()
-                continue
-            low = options & -options
-            u = low.bit_length() - 1
-            # solutions containing u are fully explored once its subtree ends
-            frame[2] = banned | low
-            frame[3] = options ^ low
-            left -= (ball[u] & ~node_dom).bit_count() + 1
-            chosen.append(u)
-            dom = node_dom | ball[u]
-            break
-        else:
-            break
 
     if best_size <= root_lb or not truncated:
         return set(best), True, best_size

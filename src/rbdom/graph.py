@@ -7,8 +7,6 @@ mapped to dense ids by :mod:`rbdom.io`.
 
 import numpy as np
 
-from .kernels import degeneracy_kernel
-
 
 class InvariantError(Exception):
     """An internal structural invariant was violated."""
@@ -76,8 +74,8 @@ def build_graph(n, edges):
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n >= 1 << 31:
         raise ValueError(f"vertex count {n} exceeds the supported 2^31 limit")
-    # keeps every priority the kernels pack (degrees, covers, neighbor-degree
-    # sums <= 2m) inside 31 bits
+    # keeps every priority the greedy heaps pack (degrees, covers,
+    # neighbor-degree sums <= 2m) inside 31 bits
     edge_cap = 1 << 30
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
@@ -118,15 +116,56 @@ def closed_neighborhood(g, v):
     return np.insert(nbrs, np.searchsorted(nbrs, v), v)
 
 
+def _neighbor_sums(g, values):
+    """Per-vertex sum of ``values[u]`` over the neighbors u, as int64."""
+    # prefix sums over the adjacency list, differenced at the row bounds
+    csum = np.zeros(g.indices.shape[0] + 1, np.int64)
+    np.cumsum(values[g.indices], out=csum[1:])
+    return csum[g.indptr[1:]] - csum[g.indptr[:-1]]
+
+
 def degeneracy_order(g):
     """Remove-minimum-degree ordering and the degeneracy d.
 
-    Every vertex has at most d neighbors later in the returned ordering.
+    Peels vertices in increasing current-degree order with a bucket queue,
+    linear in n + m. Returns (order, d): ``order`` is the removal sequence
+    and ``d`` the largest degree seen at removal time. Every vertex has at
+    most d neighbors later in the ordering. Degrees at removal are
+    non-decreasing, which keeps the bucket fronts ahead of processed
+    vertices.
     """
-    if g.n == 0:
-        return np.empty(0, dtype=np.int64), 0
-    order, d = degeneracy_kernel(g.n, g.indptr, g.indices)
-    return order, int(d)
+    indptr, indices = g.indptr, g.indices
+    deg = np.diff(indptr)
+    # vert lists the vertices by degree, ids ascending within a degree;
+    # bin_start[d] is where degree d starts in vert, pos inverts vert
+    vert = np.argsort(deg, kind="stable")
+    pos = np.empty(g.n, np.int64)
+    pos[vert] = np.arange(g.n)
+    count = np.bincount(deg)
+    bin_start = np.cumsum(count) - count
+
+    order = np.empty(g.n, np.int64)
+    d_out = 0
+    for i in range(g.n):
+        v = vert[i]
+        if deg[v] > d_out:
+            d_out = deg[v]
+        order[i] = v
+        for idx in range(indptr[v], indptr[v + 1]):
+            u = indices[idx]
+            if deg[u] > deg[v]:
+                du = deg[u]
+                pu = pos[u]
+                pw = bin_start[du]
+                w = vert[pw]
+                if u != w:
+                    vert[pu] = w
+                    vert[pw] = u
+                    pos[u] = pw
+                    pos[w] = pu
+                bin_start[du] += 1
+                deg[u] -= 1
+    return order, int(d_out)
 
 
 def avg_degree(g):

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import lossy_greedy_kernel, pendant_sweep_kernel, scd_nbr_kernel
+from .graph import _neighbor_sums
+from .kernels import _ID_MASK, _PRI_CAP, _heap_pop, _heap_push
 
 
 class RuleKind(enum.Enum):
@@ -42,9 +43,6 @@ class PsiMap:
     @property
     def x_set(self):
         return frozenset(self.images)
-
-    def image_set(self):
-        return frozenset(self.images.values())
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class ReductionTrace:
 
 def scd_nbr(g):
     """Per-vertex sum of neighbor degrees (bounds the distance-2 ball size)."""
-    return scd_nbr_kernel(g.n, g.indptr, g.indices)
+    return _neighbor_sums(g, g.degrees())
 
 
 def rr_isolated(inst):
@@ -83,27 +81,119 @@ def rr_pendant_exhaustive(inst):
     """Apply the pendant rule until no blue pendant remains.
 
     Pendant means degree one in the original graph; recoloring never changes
-    degrees. Triggers are taken lowest-id first. Returns one record per
-    application, in order.
+    degrees, so it never creates a pendant. Triggers are taken lowest-id
+    first, skipping a pendant an earlier step already recolored. For each
+    trigger v with unique neighbor u, the closed neighborhood of u turns red
+    and lifting adds u. Returns one record per application, in order.
     """
     g = inst.graph
-    if g.n == 0:
-        return []
-    reps = pendant_sweep_kernel(g.n, g.indptr, g.indices, inst.blue)
-    return [
-        LiftRecord(RuleKind.PENDANT, frozenset((int(u),))) for u in reps
-    ]
+    indptr, indices, blue = g.indptr, g.indices, inst.blue
+    records = []
+    for v in np.flatnonzero((g.degrees() == 1) & blue).tolist():
+        if blue[v]:
+            u = indices[indptr[v]]
+            records.append(LiftRecord(RuleKind.PENDANT, frozenset((int(u),))))
+            blue[u] = False
+            for idx in range(indptr[u], indptr[u + 1]):
+                blue[indices[idx]] = False
+    return records
 
 
 def rr_lossy2(inst):
-    """Apply the lossy rule once; None if no (x, image) pair can be formed."""
+    """Apply the lossy rule once; None if no (x, image) pair can be formed.
+
+    One greedy pass pairing pool vertices x with far-apart images z. Pool =
+    blue vertices not yet excluded. Repeatedly pops the pool vertex x with
+    the most blue neighbors (ties: lowest id) and looks for an image z that
+    is blue, outside N[x], and not within distance two of any earlier image
+    (ties: lowest scd_nbr, then lowest id). On success the pair is recorded,
+    N[x]'s blue vertices turn red, everything within distance two of z is
+    barred from being a future image, and N[z] leaves the pool. An x with no
+    eligible image is dropped from the pool and the scan goes on. The psi
+    map lists the pairs in pick order.
+    """
     g = inst.graph
-    if g.n == 0:
+    n, indptr, indices, blue = g.n, g.indptr, g.indices, inst.blue
+    scd = scd_nbr(g)
+    blue_deg = _neighbor_sums(g, blue)
+    in_pool = blue.copy()
+    blocked = np.zeros(n, np.bool_)
+    mark = np.full(n, -1, np.int64)
+
+    # x side: max blue-degree behaves as min (cap - blue_deg)
+    xheap = np.empty(n + indices.shape[0] + 2, np.int64)
+    xsize = 0
+    # image side: static scd_nbr keys, so concurrent size never exceeds n + 1
+    iheap = np.empty(n + 2, np.int64)
+    isize = 0
+    aside = np.empty(n + 1, np.int64)
+
+    cap = _PRI_CAP
+    for v in np.flatnonzero(blue).tolist():
+        xsize = _heap_push(xheap, xsize, ((cap - blue_deg[v]) << 32) | v)
+        isize = _heap_push(iheap, isize, (scd[v] << 32) | v)
+
+    images = {}
+    stamp = 0
+    while xsize > 0:
+        item, xsize = _heap_pop(xheap, xsize)
+        x = item & _ID_MASK
+        if not in_pool[x] or blue_deg[x] != cap - (item >> 32):
+            continue
+
+        mark[x] = stamp
+        for idx in range(indptr[x], indptr[x + 1]):
+            mark[indices[idx]] = stamp
+
+        z = -1
+        naside = 0
+        while isize > 0:
+            cand_item, isize = _heap_pop(iheap, isize)
+            c = cand_item & _ID_MASK
+            if not blue[c] or blocked[c]:
+                continue  # dead for good; drop the entry
+            if mark[c] == stamp:
+                aside[naside] = cand_item  # inside N[x]; keep for other x's
+                naside += 1
+                continue
+            z = c
+            break
+        for j in range(naside):
+            isize = _heap_push(iheap, isize, aside[j])
+        stamp += 1
+
+        if z == -1:
+            in_pool[x] = False
+            continue
+
+        images[int(x)] = int(z)
+
+        # recolor N[x]'s blue vertices (x included)
+        for off in range(-1, indptr[x + 1] - indptr[x]):
+            w = x if off == -1 else indices[indptr[x] + off]
+            if blue[w]:
+                blue[w] = False
+                in_pool[w] = False
+                for idx in range(indptr[w], indptr[w + 1]):
+                    t = indices[idx]
+                    blue_deg[t] -= 1
+                    if in_pool[t]:
+                        xsize = _heap_push(
+                            xheap, xsize, ((cap - blue_deg[t]) << 32) | t
+                        )
+
+        # bar everything within distance two of z from being an image,
+        # and pull z's closed neighborhood out of the pool
+        for off in range(-1, indptr[z + 1] - indptr[z]):
+            u = z if off == -1 else indices[indptr[z] + off]
+            in_pool[u] = False
+            blocked[u] = True
+            for idx in range(indptr[u], indptr[u + 1]):
+                blocked[indices[idx]] = True
+
+    if not images:
         return None
-    xs, zs = lossy_greedy_kernel(g.n, g.indptr, g.indices, inst.blue)
-    if xs.size == 0:
-        return None
-    psi = PsiMap({int(x): int(z) for x, z in zip(xs, zs)})
+    psi = PsiMap(images)
     return LiftRecord(RuleKind.LOSSY2, psi.x_set, psi)
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers: slow reference oracles, independent of the package kernels.
+"""Shared helpers: slow reference oracles, independent of the package loops.
 
 Everything here recomputes results with plain sets and exhaustive loops so
 the fast CSR/heap implementations have something trustworthy to be checked
@@ -10,8 +10,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from rbdom import ParseError, build_graph
+from rbdom import ParseError, RBInstance, build_graph
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +39,33 @@ def domination_number(g, blue=None):
     raise AssertionError("unreachable")
 
 
+def milp_optimum(inst):
+    """Minimum solution size by the closed-neighborhood ILP over the blue rows.
+
+    min sum x_v subject to sum of x_u over N[v] >= 1 for every blue v, x
+    binary; solved exactly by scipy's HiGHS MILP. Test-only: scipy is not a
+    runtime dependency of the package.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    g = inst.graph
+    rows = np.flatnonzero(inst.blue)
+    if rows.size == 0:
+        return 0
+    a = np.zeros((rows.size, g.n))
+    for r, v in enumerate(rows.tolist()):
+        a[r, v] = 1
+        a[r, g.neighbors(v)] = 1
+    res = milp(
+        c=np.ones(g.n),
+        constraints=LinearConstraint(a, lb=1),
+        integrality=np.ones(g.n),
+        bounds=Bounds(0, 1),
+    )
+    assert res.status == 0, res.message
+    return int(round(res.fun))
+
+
 def degeneracy_by_subgraphs(g):
     """Degeneracy as max over vertex subsets of the induced minimum degree."""
     best = 0
@@ -49,6 +77,63 @@ def degeneracy_by_subgraphs(g):
             mina = min(len(nbrs[v] & s) for v in sub)
             best = max(best, mina)
     return best
+
+
+def degeneracy_reference(g):
+    """The bucket-queue peeling degeneracy_order replaced, over plain lists.
+
+    Returns (order, d): the removal sequence and the largest degree seen at
+    removal time.
+    """
+    n = g.n
+    indptr = g.indptr.tolist()
+    indices = g.indices.tolist()
+    order = [0] * n
+    deg = [0] * n
+    maxdeg = 0
+    for v in range(n):
+        deg[v] = indptr[v + 1] - indptr[v]
+        if deg[v] > maxdeg:
+            maxdeg = deg[v]
+
+    # counting sort of vertices by degree
+    count = [0] * (maxdeg + 1)
+    for v in range(n):
+        count[deg[v]] += 1
+    bin_start = [0] * (maxdeg + 1)
+    acc = 0
+    for d in range(maxdeg + 1):
+        bin_start[d] = acc
+        acc += count[d]
+    fill = list(bin_start)
+    pos = [0] * n
+    vert = [0] * n
+    for v in range(n):
+        pos[v] = fill[deg[v]]
+        vert[pos[v]] = v
+        fill[deg[v]] += 1
+
+    d_out = 0
+    for i in range(n):
+        v = vert[i]
+        if deg[v] > d_out:
+            d_out = deg[v]
+        order[i] = v
+        for idx in range(indptr[v], indptr[v + 1]):
+            u = indices[idx]
+            if deg[u] > deg[v]:
+                du = deg[u]
+                pu = pos[u]
+                pw = bin_start[du]
+                w = vert[pw]
+                if u != w:
+                    vert[pu] = w
+                    vert[pw] = u
+                    pos[u] = pw
+                    pos[w] = pu
+                bin_start[du] += 1
+                deg[u] -= 1
+    return order, d_out
 
 
 def pendant_reference(g, blue):
@@ -181,6 +266,17 @@ def random_graph(rng, n_max=20, n_min=1):
     n = int(rng.integers(n_min, n_max + 1))
     p = float(rng.uniform(0.05, 0.6))
     return build_graph(n, random_edges(rng, n, p))
+
+
+@st.composite
+def coloured_instances(draw, n_max):
+    """n <= n_max, up to 3n random edge draws, an arbitrary blue mask."""
+    n = draw(st.integers(1, n_max))
+    m = draw(st.integers(0, 3 * n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m))
+    blue = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return RBInstance(build_graph(n, edges), np.array(blue, dtype=bool))
 
 
 @pytest.fixture

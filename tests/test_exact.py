@@ -18,7 +18,15 @@ from rbdom import (
 )
 from rbdom.generate import gen_gnp
 
-from conftest import cycle_graph, domination_number, path_graph, random_graph, star_graph
+from conftest import (
+    coloured_instances,
+    cycle_graph,
+    domination_number,
+    milp_optimum,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def test_brute_force_p5():
@@ -118,6 +126,18 @@ def test_exact_partial_blue(inst):
     _check_against_brute_force(inst)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(coloured_instances(n_max=60), st.sampled_from([0.04, 1.0]))
+def test_exact_brackets_milp_optimum(inst, budget):
+    opt = milp_optimum(inst)
+    greedy = approximate(inst, Approximator.GREEDY_COVER)
+    sol, proven, lb = exact_min(inst, budget)
+    assert lb <= opt <= len(sol) <= len(greedy)
+    if proven:
+        assert len(sol) == opt
+    assert is_valid_solution(inst, sol)
+
+
 def test_exact_budget_expiry_is_sound_and_deterministic():
     g = gen_gnp(600, 8.0, 3)
     inst = all_blue(g)
@@ -132,15 +152,17 @@ def test_exact_budget_expiry_is_sound_and_deterministic():
 
     # Golden values: each search improves the greedy incumbent, then spends
     # its budget. They pin the work accounting, which decides where a search
-    # stops and so what it returns.
+    # stops and so what it returns. At 0.083 s the root packing bound, paid
+    # for once, leaves just enough budget to reach the size-16 solution.
     golden = [
-        (14, 19, 18, 13, [1, 3, 4, 5, 10, 11, 14, 18, 19, 22, 24, 27, 28, 31, 33, 39, 49, 59]),
-        (29, 17, 16, 13, [0, 1, 4, 5, 6, 13, 18, 20, 26, 31, 36, 37, 43, 46, 50, 59]),
+        (14, 0.1, 19, 18, 13, [1, 3, 4, 5, 10, 11, 14, 18, 19, 22, 24, 27, 28, 31, 33, 39, 49, 59]),
+        (29, 0.1, 17, 16, 13, [0, 1, 4, 5, 6, 13, 18, 20, 26, 31, 36, 37, 43, 46, 50, 59]),
+        (29, 0.083, 17, 16, 13, [0, 1, 4, 5, 6, 13, 18, 20, 26, 31, 36, 37, 43, 46, 50, 59]),
     ]
-    for seed, greedy, size, lb, solution in golden:
+    for seed, budget, greedy, size, lb, solution in golden:
         inst = all_blue(gen_gnp(70, 5.0, seed))
         assert len(approximate(inst, Approximator.GREEDY_COVER)) == greedy
-        sol, proven, got_lb = exact_min(inst, 0.1)
+        sol, proven, got_lb = exact_min(inst, budget)
         assert (len(sol), proven, got_lb) == (size, False, lb)
         assert sorted(sol) == solution
         assert is_valid_solution(inst, sol)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rbdom import (
@@ -8,8 +9,17 @@ from rbdom import (
     closed_neighborhood,
     degeneracy_order,
 )
+from rbdom.generate import gen_gnp
 
-from conftest import complete_graph, cycle_graph, degeneracy_by_subgraphs, path_graph, random_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    degeneracy_by_subgraphs,
+    degeneracy_reference,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def test_build_path():
@@ -90,6 +100,18 @@ def test_degeneracy_matches_subgraph_definition(rng):
     for _ in range(40):
         g = random_graph(rng, n_max=7)
         assert degeneracy_order(g)[1] == degeneracy_by_subgraphs(g)
+
+
+def test_degeneracy_order_matches_reference(rng):
+    # the order itself, not only d: degeneracy-guided tie-breaks depend on it
+    graphs = [build_graph(1, []), build_graph(0, []), gen_gnp(400, 6.0, 1)]
+    graphs += [random_graph(rng, n_max=60) for _ in range(60)]
+    for g in graphs:
+        order, d = degeneracy_order(g)
+        ref_order, ref_d = degeneracy_reference(g)
+        assert order.dtype == np.int64 and type(d) is int
+        assert order.tolist() == ref_order
+        assert d == ref_d
 
 
 def test_degeneracy_order_properties(rng):

@@ -1,4 +1,4 @@
-"""The packed-priority binary heap shared by the greedy kernels."""
+"""The packed-priority binary heap shared by the lossy rule and greedy cover."""
 
 import numpy as np
 

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings
 
 from rbdom import (
     PsiMap,
@@ -6,6 +7,7 @@ from rbdom import (
     ReductionTrace,
     RuleKind,
     all_blue,
+    approximate,
     build_graph,
     is_valid_solution,
     lift,
@@ -18,6 +20,7 @@ from rbdom import (
 from rbdom.pipeline import reduce_instance
 
 from conftest import (
+    coloured_instances,
     cycle_graph,
     lossy_reference,
     path_graph,
@@ -191,40 +194,35 @@ def test_lift_identity_and_union():
     assert lift(ReductionTrace([rec]), set()) == {1}
 
 
-def test_lift_validity_on_random_instances(rng):
-    for _ in range(50):
-        g = random_graph(rng, n_max=40)
-        inst = all_blue(g)
-        trace = reduce_instance(inst, lossy=True, check_psi=True)
-        # any valid reduced solution lifts to a valid original solution
-        for s_reduced in (set(inst.blue_vertices().tolist()), set(range(g.n))):
-            if not is_valid_solution(inst, s_reduced):
-                continue
-            lifted = lift(trace, s_reduced)
-            assert is_valid_solution(all_blue(g), lifted)
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coloured_instances(n_max=40))
+def test_lift_validity_on_random_instances(inst):
+    original = inst.copy()
+    trace = reduce_instance(inst, lossy=True, check_psi=True)
+    # any valid reduced solution lifts to a valid original solution
+    reduced_solutions = (set(inst.blue_vertices().tolist()), set(range(inst.graph.n)), approximate(inst))
+    for s_reduced in reduced_solutions:
+        assert is_valid_solution(inst, s_reduced)
+        assert is_valid_solution(original, lift(trace, s_reduced))
 
 
-def test_rules_only_recolor_blue_to_red(rng):
-    for _ in range(30):
-        g = random_graph(rng, n_max=40)
-        inst = all_blue(g)
-        counts = [inst.blue_count]
-        rr_isolated(inst)
-        counts.append(inst.blue_count)
-        rr_pendant_exhaustive(inst)
-        counts.append(inst.blue_count)
-        rr_lossy2(inst)
-        counts.append(inst.blue_count)
-        assert counts == sorted(counts, reverse=True)
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coloured_instances(n_max=40))
+def test_rules_only_recolor_blue_to_red(inst):
+    for rule in (rr_isolated, rr_pendant_exhaustive, rr_lossy2):
+        before = inst.blue.copy()
+        rule(inst)
+        assert not (inst.blue & ~before).any()
 
 
-def test_images_stay_blue_after_lossy(rng):
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coloured_instances(n_max=40))
+def test_images_stay_blue_after_lossy(inst):
     # the image set is a certified packing inside the reduced blue set
-    for _ in range(40):
-        g = random_graph(rng, n_max=40)
-        inst = all_blue(g)
-        rec = rr_lossy2(inst)
-        if rec is None:
-            continue
-        blue_after = set(inst.blue_vertices().tolist())
-        assert set(rec.psi.images.values()) <= blue_after
+    before = inst.copy()
+    rec = rr_lossy2(inst)
+    if rec is None:
+        return
+    blue_after = set(inst.blue_vertices().tolist())
+    assert set(rec.psi.images.values()) <= blue_after
+    assert verify_psi(before, rec.psi)
