@@ -269,14 +269,26 @@ def random_graph(rng, n_max=20, n_min=1):
 
 
 @st.composite
-def coloured_instances(draw, n_max):
-    """n <= n_max, up to 3n random edge draws, an arbitrary blue mask."""
+def small_instances(draw, n_max, all_blue_only):
+    """n <= n_max, edge density 0.05..0.6, all blue or an arbitrary blue mask.
+
+    Each vertex pair is an edge when its draw falls under a drawn threshold,
+    so dense graphs are as reachable as sparse ones. The exact-search
+    properties need densities 0.2..0.4, where the greedy incumbent is most
+    often beaten and the branch and bound has to find the optimum itself.
+    """
     n = draw(st.integers(1, n_max))
-    m = draw(st.integers(0, 3 * n))
-    vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m))
-    blue = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = list(itertools.combinations(range(n), 2))
+    density = draw(st.integers(1, 12))
+    draws = draw(st.lists(st.integers(0, 19), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, x in zip(pairs, draws) if x < density]
+    blue = [True] * n if all_blue_only else draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return RBInstance(build_graph(n, edges), np.array(blue, dtype=bool))
+
+
+def coloured_instances(n_max):
+    """Instances that are all blue or carry an arbitrary blue mask, half each."""
+    return st.one_of(small_instances(n_max, True), small_instances(n_max, False))
 
 
 @pytest.fixture

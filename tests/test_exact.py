@@ -1,5 +1,4 @@
 import sys
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from conftest import (
     milp_optimum,
     path_graph,
     random_graph,
+    small_instances,
     star_graph,
 )
 
@@ -90,22 +90,6 @@ def test_exact_leaves_recursion_limit_alone():
         sys.setrecursionlimit(old)
 
 
-@st.composite
-def small_instances(draw, all_blue_only):
-    """n <= 12, edge density 0.1..0.5, all blue or an arbitrary blue mask.
-
-    The greedy incumbent is most often beaten at densities 0.2..0.4, where
-    the branch and bound has to find the optimum itself.
-    """
-    n = draw(st.integers(1, 12))
-    pairs = list(combinations(range(n), 2))
-    density = draw(st.integers(1, 5))
-    draws = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
-    edges = [e for e, x in zip(pairs, draws) if x < density]
-    blue = [True] * n if all_blue_only else draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return RBInstance(build_graph(n, edges), np.array(blue, dtype=bool))
-
-
 def _check_against_brute_force(inst):
     sol, proven, lb = exact_min(inst, 10.0)
     assert proven
@@ -115,13 +99,13 @@ def _check_against_brute_force(inst):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(small_instances(all_blue_only=True))
+@given(small_instances(12, all_blue_only=True))
 def test_exact_agrees_with_brute_force(inst):
     _check_against_brute_force(inst)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(small_instances(all_blue_only=False))
+@given(small_instances(12, all_blue_only=False))
 def test_exact_partial_blue(inst):
     _check_against_brute_force(inst)
 
