@@ -19,14 +19,9 @@ from .generate import (
     gen_watts_strogatz,
 )
 from .graph import InvariantError, check_graph_invariants
-from .instance import all_blue, is_valid_solution
+from .instance import all_blue
 from .io import load_graph, write_edge_list, write_report_csv
 from .pipeline import aggregate, run_exp_aa, run_exp_la, run_instance
-
-_APPROX = {
-    "greedy": Approximator.GREEDY_COVER,
-    "degeneracy": Approximator.DEGENERACY_GUIDED,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,6 +33,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser():
     parser = _Parser(prog="rbdom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    approx_choices = [a.value for a in Approximator]
 
     p = sub.add_parser("gen", help="generate a random graph file")
     p.add_argument("--model", required=True, choices=["gnp", "gnm", "ws", "dreg", "ba"])
@@ -51,27 +47,22 @@ def _build_parser():
 
     p = sub.add_parser("solve", help="run one pipeline or solver on a graph")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["edgelist", "mtx"])
     p.add_argument("--mode", required=True, choices=["aa", "la", "exact", "greedy"])
-    p.add_argument("--approx", choices=sorted(_APPROX), default="greedy")
+    p.add_argument("--approx", choices=approx_choices, default="greedy")
     p.add_argument("--time-limit", type=float, default=30.0)
-    p.add_argument("--verify-psi", action="store_true")
     p.add_argument("--strict-density", action="store_true")
 
     p = sub.add_parser("exp", help="run both pipelines over a directory of graphs")
     p.add_argument("--dir", required=True)
     p.add_argument("--csv", required=True)
-    p.add_argument("--format", choices=["edgelist", "mtx"])
-    p.add_argument("--approx", choices=sorted(_APPROX), default="greedy")
+    p.add_argument("--approx", choices=approx_choices, default="greedy")
     p.add_argument("--time-limit", type=float, default=30.0)
     p.add_argument("--category", default=None)
     p.add_argument("--no-exact", action="store_true")
-    p.add_argument("--verify-psi", action="store_true")
     p.add_argument("--strict-density", action="store_true")
 
     p = sub.add_parser("verify", help="run the invariant suite on a graph")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["edgelist", "mtx"])
     p.add_argument("--strict-density", action="store_true")
     return parser
 
@@ -104,12 +95,12 @@ def _print_solution(label, sol):
 
 
 def _cmd_solve(args):
-    g = load_graph(args.input, args.format, args.strict_density)
-    approx = _APPROX[args.approx]
+    g = load_graph(args.input, args.strict_density)
+    approx = Approximator(args.approx)
     if args.mode == "aa":
         _print_solution("AA", run_exp_aa(g, approx))
     elif args.mode == "la":
-        _print_solution("LA", run_exp_la(g, approx, check_psi=args.verify_psi))
+        _print_solution("LA", run_exp_la(g, approx))
     elif args.mode == "greedy":
         _print_solution("GREEDY", approximate(all_blue(g), approx))
     else:
@@ -135,13 +126,12 @@ def _cmd_exp(args):
     reports = []
     total_aa = total_la = 0.0
     for path in files:
-        g = load_graph(path, args.format, args.strict_density)
+        g = load_graph(path, args.strict_density)
         report, aa_s, la_s = run_instance(
             path.stem,
             g,
-            approx=_APPROX[args.approx],
+            approx=Approximator(args.approx),
             time_limit=args.time_limit,
-            check_psi=args.verify_psi,
             with_exact=not args.no_exact,
         )
         reports.append(report)
@@ -165,15 +155,9 @@ def _cmd_exp(args):
 
 
 def _cmd_verify(args):
-    g = load_graph(args.input, args.format, args.strict_density)
+    g = load_graph(args.input, args.strict_density)
     check_graph_invariants(g)
-    inst = all_blue(g)
-    for label, sol in (
-        ("aa", run_exp_aa(g)),
-        ("la", run_exp_la(g, check_psi=True)),
-    ):
-        if not is_valid_solution(inst, sol):
-            raise InvariantError(f"{label} pipeline produced an invalid solution")
+    run_instance(Path(args.input).stem, g, with_exact=False)
     print(f"ok: n={g.n} m={g.m} invariants hold")
     return 0
 

@@ -57,9 +57,6 @@ class Graph:
             and np.array_equal(self.indices, other.indices)
         )
 
-    def __hash__(self):
-        return hash((self.n, self.m, self.indices.tobytes()))
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 

@@ -4,7 +4,10 @@ Edge list format: first non-comment line is "n m", followed by m lines
 "u v" with 0-based vertex ids; '#' starts a comment line. Matrix Market
 ingestion accepts symmetric coordinate matrices only, treats them as
 adjacency matrices (1-based entries, diagonal ignored, values ignored), and
-warns when the nonzero count exceeds ``density_limit`` times the row count.
+warns when the nonzero count exceeds ``DENSITY_LIMIT`` (20) times the row
+count, the edge of the sparse regime this pipeline targets. A file is read
+as Matrix Market when its text starts with the ``%%MatrixMarket`` banner
+the format requires, and as an edge list otherwise.
 Reports go out as CSV with the columns id,n,m,ex,aa,la,imprv; improvement
 percentages are printed with two decimals, rounded half-up, and '--' stands
 for "absent".
@@ -20,6 +23,7 @@ from .graph import build_graph
 logger = logging.getLogger(__name__)
 
 DENSITY_LIMIT = 20.0
+_MM_BANNER = "%%MatrixMarket"
 
 
 class ParseError(ValueError):
@@ -147,16 +151,16 @@ def write_edge_list(g):
     return "".join(out)
 
 
-def parse_matrix_market(text, density_limit=DENSITY_LIMIT, strict_density=False):
+def parse_matrix_market(text, strict_density=False):
     """Parse a symmetric Matrix Market coordinate matrix as a graph.
 
     Rejects non-symmetric and non-coordinate headers and non-square sizes.
-    When nnz exceeds ``density_limit`` times the row count the matrix is
+    When nnz exceeds ``DENSITY_LIMIT`` times the row count the matrix is
     outside the sparse regime this pipeline targets: a warning is logged, or
     a ValueError raised when ``strict_density`` is set.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
+    if not lines or not lines[0].startswith(_MM_BANNER):
         raise ParseError("line 1: missing %%MatrixMarket header")
     fields = lines[0].split()
     if len(fields) < 5 or fields[1].lower() != "matrix":
@@ -205,9 +209,9 @@ def parse_matrix_market(text, density_limit=DENSITY_LIMIT, strict_density=False)
         raise ParseError("missing size line 'rows cols nnz'")
     if entries_seen != nnz:
         raise ParseError(f"size line promised {nnz} entries, found {entries_seen}")
-    if nnz > density_limit * rows:
+    if nnz > DENSITY_LIMIT * rows:
         msg = (
-            f"matrix has {nnz} nonzeros > {density_limit} x {rows} rows; "
+            f"matrix has {nnz} nonzeros > {DENSITY_LIMIT} x {rows} rows; "
             "outside the sparse regime"
         )
         if strict_density:
@@ -216,18 +220,13 @@ def parse_matrix_market(text, density_limit=DENSITY_LIMIT, strict_density=False)
     return build_graph(rows, edges)
 
 
-def load_graph(path, fmt=None, strict_density=False):
-    """Read a graph file; format from ``fmt`` or the file extension."""
-    path = str(path)
-    if fmt is None:
-        fmt = "mtx" if path.lower().endswith(".mtx") else "edgelist"
+def load_graph(path, strict_density=False):
+    """Read a graph file: Matrix Market if it opens with the banner, else an edge list."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if fmt == "mtx":
+    if text.startswith(_MM_BANNER):
         return parse_matrix_market(text, strict_density=strict_density)
-    if fmt == "edgelist":
-        return parse_edge_list(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return parse_edge_list(text)
 
 
 def round_half_up(value, digits=2):

@@ -48,12 +48,11 @@ class AggregateStats:
     avg_imprv: float | None
 
 
-def reduce_instance(inst, lossy, check_psi=False):
+def reduce_instance(inst, lossy):
     """Apply isolated once, pendant exhaustively, then optionally lossy once.
 
-    Mutates ``inst`` and returns the replayable trace. With ``check_psi``
-    the lossy pair map is validated against the pre-rule state and an
-    InvariantError raised on failure.
+    Mutates ``inst`` and returns the replayable trace. The lossy pair map is
+    checked against the pre-rule state; an invalid one raises InvariantError.
     """
     trace = ReductionTrace()
     rec = rr_isolated(inst)
@@ -61,10 +60,10 @@ def reduce_instance(inst, lossy, check_psi=False):
         trace.records.append(rec)
     trace.records.extend(rr_pendant_exhaustive(inst))
     if lossy:
-        before = inst.copy() if check_psi else None
+        before = inst.copy()
         rec = rr_lossy2(inst)
         if rec is not None:
-            if check_psi and not verify_psi(before, rec.psi):
+            if not verify_psi(before, rec.psi):
                 raise InvariantError("lossy rule produced an invalid pair map")
             trace.records.append(rec)
     return trace
@@ -78,10 +77,10 @@ def run_exp_aa(g, approx=Approximator.GREEDY_COVER):
     return lift(trace, s_reduced)
 
 
-def run_exp_la(g, approx=Approximator.GREEDY_COVER, check_psi=False):
+def run_exp_la(g, approx=Approximator.GREEDY_COVER):
     """Like run_exp_aa with the lossy rule inserted before the approximator."""
     inst = all_blue(g)
-    trace = reduce_instance(inst, lossy=True, check_psi=check_psi)
+    trace = reduce_instance(inst, lossy=True)
     s_reduced = approximate(inst, approx)
     return lift(trace, s_reduced)
 
@@ -112,7 +111,6 @@ def run_instance(
     g,
     approx=Approximator.GREEDY_COVER,
     time_limit=30.0,
-    check_psi=False,
     with_exact=True,
 ):
     """Run both pipelines (and optionally the exact solver) on one graph.
@@ -127,7 +125,7 @@ def run_instance(
     aa_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    s_la = run_exp_la(g, approx, check_psi=check_psi)
+    s_la = run_exp_la(g, approx)
     la_seconds = time.perf_counter() - t0
 
     if not is_valid_solution(inst, s_aa):

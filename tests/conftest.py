@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rbdom import ParseError, RBInstance, build_graph
+from rbdom import LiftRecord, ParseError, PsiMap, RBInstance, RuleKind, build_graph
 
 logger = logging.getLogger(__name__)
 
@@ -294,6 +294,20 @@ def coloured_instances(n_max):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def neighbour_image_lossy(monkeypatch):
+    """Make the pipelines' lossy rule pair x = 0 with its neighbour 1.
+
+    An image inside N(x) breaks the pair map, so the pipelines' psi check
+    must reject it.
+    """
+
+    def rule(inst):
+        return LiftRecord(RuleKind.LOSSY2, frozenset({0}), PsiMap({0: 1}))
+
+    monkeypatch.setattr("rbdom.pipeline.rr_lossy2", rule)
 
 
 def path_graph(k):

@@ -3,7 +3,9 @@ import pytest
 from rbdom import build_graph, write_edge_list
 from rbdom.cli import cli_main
 
-from conftest import path_graph, star_graph
+from conftest import cycle_graph, path_graph, star_graph
+
+MTX_P3 = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
 
 
 @pytest.fixture
@@ -61,10 +63,12 @@ def test_solve_exact_rejects_infinite_time_limit(graph_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solve_verify_psi_flag(graph_file):
-    assert cli_main(
-        ["solve", "--input", str(graph_file), "--mode", "la", "--verify-psi"]
-    ) == 0
+def test_invalid_pair_map_exits_2(tmp_path, capsys, neighbour_image_lossy):
+    path = tmp_path / "c6.el"
+    path.write_text(write_edge_list(cycle_graph(6)))
+    for argv in (["solve", "--mode", "la"], ["verify"]):
+        assert cli_main([*argv, "--input", str(path)]) == 2
+        assert "invariant violation" in capsys.readouterr().err
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -110,19 +114,21 @@ def test_default_time_limit_is_thirty():
 def test_exp_directory(tmp_path, capsys):
     cases = tmp_path / "cases"
     cases.mkdir()
+    (cases / "p3.txt").write_text(MTX_P3)
     (cases / "p7.el").write_text(write_edge_list(path_graph(7)))
     (cases / "star.el").write_text(write_edge_list(star_graph(4)))
     csv = tmp_path / "out.csv"
     code = cli_main(
-        ["exp", "--dir", str(cases), "--csv", str(csv), "--time-limit", "2", "--verify-psi"]
+        ["exp", "--dir", str(cases), "--csv", str(csv), "--time-limit", "2"]
     )
     assert code == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == "id,n,m,ex,aa,la,imprv"
-    assert len(lines) == 4  # two rows + aggregate comment
-    assert lines[1].startswith("p7,7,6,3,")
-    assert lines[2].startswith("star,5,4,1,")
-    assert lines[3].startswith("# cases,2,")
+    assert len(lines) == 5  # three rows + aggregate comment
+    assert lines[1].startswith("p3,3,2,1,1,")
+    assert lines[2].startswith("p7,7,6,3,")
+    assert lines[3].startswith("star,5,4,1,")
+    assert lines[4].startswith("# cases,3,")
 
 
 def test_exp_bit_identical_reruns(tmp_path):
@@ -148,9 +154,16 @@ def test_verify_ok(graph_file, capsys):
 
 
 def test_mtx_input(tmp_path, capsys):
-    mtx = tmp_path / "g.mtx"
-    mtx.write_text(
-        "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n"
-    )
-    assert cli_main(["solve", "--input", str(mtx), "--mode", "aa"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "AA=1"
+    # the banner, not the file name, marks Matrix Market
+    for name in ("g.mtx", "g.txt"):
+        mtx = tmp_path / name
+        mtx.write_text(MTX_P3)
+        assert cli_main(["solve", "--input", str(mtx), "--mode", "aa"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "AA=1"
+
+
+def test_edge_list_named_mtx(tmp_path, capsys):
+    el = tmp_path / "g.mtx"
+    el.write_text(write_edge_list(path_graph(7)))
+    assert cli_main(["solve", "--input", str(el), "--mode", "aa"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "AA=3"

@@ -18,6 +18,7 @@ from rbdom.io import round_half_up
 from rbdom.pipeline import AggregateStats, RunReport
 
 from conftest import (
+    complete_graph,
     parse_edge_list_reference,
     path_graph,
     random_graph,
@@ -236,12 +237,16 @@ def test_parse_mtx_ignores_diagonal_and_values():
 
 
 def test_parse_mtx_density_warning(caplog):
-    # 3 entries > 20 * ... no; craft a dense tiny matrix: limit 0.5 per row
+    # K_43 has 43 * 42 / 2 = 903 entries, above the limit of 20 * 43 = 860
+    k = 43
+    entries = [f"{i} {j}" for i in range(2, k + 1) for j in range(1, i)]
+    text = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+    text += f"{k} {k} {len(entries)}\n" + "\n".join(entries) + "\n"
     with caplog.at_level(logging.WARNING, logger="rbdom.io"):
-        parse_matrix_market(MTX_P3, density_limit=0.5)
-    assert "sparse regime" in caplog.text
+        assert parse_matrix_market(text) == complete_graph(k)
+    assert "903 nonzeros > 20.0 x 43 rows" in caplog.text
     with pytest.raises(ValueError, match="sparse regime"):
-        parse_matrix_market(MTX_P3, density_limit=0.5, strict_density=True)
+        parse_matrix_market(text, strict_density=True)
 
 
 def test_round_half_up():

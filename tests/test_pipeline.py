@@ -4,6 +4,7 @@ import pytest
 
 from rbdom import (
     Approximator,
+    InvariantError,
     aggregate,
     all_blue,
     approximate,
@@ -56,7 +57,12 @@ def test_pipelines_always_valid(rng):
         inst = all_blue(g)
         for which in Approximator:
             assert is_valid_solution(inst, run_exp_aa(g, which))
-            assert is_valid_solution(inst, run_exp_la(g, which, check_psi=True))
+            assert is_valid_solution(inst, run_exp_la(g, which))
+
+
+def test_run_exp_la_rejects_invalid_pair_map(neighbour_image_lossy):
+    with pytest.raises(InvariantError, match="pair map"):
+        run_exp_la(cycle_graph(6))
 
 
 def test_improvement_pct_appendix_rows():
@@ -137,7 +143,7 @@ def test_la_factor_two_bound_on_exact_instances(rng):
         if opt == 0:
             continue
         inst = all_blue(g)
-        trace = reduce_instance(inst, lossy=True, check_psi=True)
+        trace = reduce_instance(inst, lossy=True)
         s_red = approximate(inst)
         opt_red = len(brute_force_min(inst))
         lifted = lift(trace, s_red)
@@ -151,7 +157,7 @@ def test_la_factor_two_bound_on_exact_instances(rng):
 def test_run_instance_report_invariant(rng):
     for seed in range(5):
         g = random_graph(rng, n_max=30, n_min=5)
-        report, aa_s, la_s = run_instance("g", g, time_limit=2.0, check_psi=True)
+        report, aa_s, la_s = run_instance("g", g, time_limit=2.0)
         assert report.n == g.n and report.m == g.m
         assert (report.imprv is not None) == (
             report.ex is not None and report.ex > 0 and report.aa > report.la

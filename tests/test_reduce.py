@@ -198,7 +198,7 @@ def test_lift_identity_and_union():
 @given(coloured_instances(n_max=40))
 def test_lift_validity_on_random_instances(inst):
     original = inst.copy()
-    trace = reduce_instance(inst, lossy=True, check_psi=True)
+    trace = reduce_instance(inst, lossy=True)
     # any valid reduced solution lifts to a valid original solution
     reduced_solutions = (set(inst.blue_vertices().tolist()), set(range(inst.graph.n)), approximate(inst))
     for s_reduced in reduced_solutions:
