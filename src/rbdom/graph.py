@@ -71,8 +71,9 @@ def build_graph(n, edges):
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n >= 1 << 31:
         raise ValueError(f"vertex count {n} exceeds the supported 2^31 limit")
-    # keeps every priority the greedy heaps pack (degrees, covers,
-    # neighbor-degree sums <= 2m) inside 31 bits
+    # keeps greedy cover's packed int64 priorities (degrees, covers) and the
+    # lossy rule's int64 image keys (neighbor-degree sums <= 2m) inside 31
+    # bits before the shift
     edge_cap = 1 << 30
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
@@ -89,20 +90,24 @@ def build_graph(n, edges):
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     keep = lo != hi
-    lo, hi = lo[keep], hi[keep]
-    if lo.size:
-        key = np.unique(lo * np.int64(n) + hi)
-        lo, hi = key // n, key % n
-    if lo.size >= edge_cap:
-        raise ValueError(f"edge count {lo.size} exceeds the supported 2^30 limit")
+    # one key lo * n + hi per undirected edge, deduplicated
+    key = np.unique(lo[keep] * np.int64(n) + hi[keep])
+    m = key.size
+    if m >= edge_cap:
+        raise ValueError(f"edge count {m} exceeds the supported 2^30 limit")
 
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    indices = dst[order]
+    # both orientations as src * n + dst; one sort orders the rows and,
+    # within each row, the neighbors
+    keys = np.empty(2 * m, np.int64)
+    keys[:m] = key
+    lo, hi = np.divmod(key, n)
+    np.multiply(hi, n, out=keys[m:])
+    keys[m:] += lo
+    keys.sort()
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, indices)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    keys %= n
+    return Graph(n, indptr, keys)
 
 
 def closed_neighborhood(g, v):

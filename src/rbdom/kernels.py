@@ -1,12 +1,12 @@
-"""The packed-priority binary heap used by the greedy loops.
+"""The packed-priority binary heap behind greedy cover.
 
-The lossy rule (:func:`rbdom.reduce.rr_lossy2`) and greedy cover
-(:mod:`rbdom.approx`) keep their priority queues as binary heaps on
-preallocated int64 arrays. Entries pack (priority, vertex) into one int64 as
-``priority << 32 | vertex`` so ties break on the low 32 bits (lowest vertex
-id, or lowest supplied rank). Stale entries are never removed eagerly; a
-popped entry is valid only if its packed priority still matches the current
-state (lazy deletion).
+Greedy cover (:mod:`rbdom.approx`) keeps its priority queue as a binary heap
+on a preallocated int64 array. Entries pack (priority, vertex) into one int64
+as ``priority << 32 | vertex`` so ties break on the low 32 bits (lowest
+vertex id, or lowest supplied rank). Stale entries are never removed eagerly;
+a popped entry is valid only if its packed priority still matches the current
+state (lazy deletion). The lossy rule (:func:`rbdom.reduce.rr_lossy2`) uses
+``heapq`` over Python ints instead.
 """
 
 

@@ -20,12 +20,14 @@ with the original and lifting is plain set union, replayed newest-first.
 """
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import _neighbor_sums
-from .kernels import _ID_MASK, _PRI_CAP, _heap_pop, _heap_push
+
+_ID_MASK = (1 << 32) - 1
 
 
 class RuleKind(enum.Enum):
@@ -111,86 +113,80 @@ def rr_lossy2(inst):
     barred from being a future image, and N[z] leaves the pool. An x with no
     eligible image is dropped from the pool and the scan goes on. The psi
     map lists the pairs in pick order.
+
+    Both queues are ``heapq`` lists of Python ints packed ``key << 32 | v``,
+    so ties break on the lowest id. Blue-degrees only fall, so the x heap
+    holds one entry per pool vertex and re-keys a stale top when it reaches
+    it (lazy greedy); its pick is the same as with an exact queue. Image keys
+    never change.
     """
     g = inst.graph
-    n, indptr, indices, blue = g.n, g.indptr, g.indices, inst.blue
-    scd = scd_nbr(g)
-    blue_deg = _neighbor_sums(g, blue)
-    in_pool = blue.copy()
-    blocked = np.zeros(n, np.bool_)
-    mark = np.full(n, -1, np.int64)
-
-    # x side: max blue-degree behaves as min (cap - blue_deg)
-    xheap = np.empty(n + indices.shape[0] + 2, np.int64)
-    xsize = 0
-    # image side: static scd_nbr keys, so concurrent size never exceeds n + 1
-    iheap = np.empty(n + 2, np.int64)
-    isize = 0
-    aside = np.empty(n + 1, np.int64)
-
-    cap = _PRI_CAP
-    for v in np.flatnonzero(blue).tolist():
-        xsize = _heap_push(xheap, xsize, ((cap - blue_deg[v]) << 32) | v)
-        isize = _heap_push(iheap, isize, (scd[v] << 32) | v)
+    indices = g.indices
+    indptr = g.indptr.tolist()
+    pool = np.flatnonzero(inst.blue)
+    deg = _neighbor_sums(g, inst.blue)
+    xheap = ((-deg[pool] << 32) | pool).tolist()
+    iheap = ((scd_nbr(g)[pool] << 32) | pool).tolist()
+    heapq.heapify(xheap)
+    heapq.heapify(iheap)
+    blue_deg = deg.tolist()
+    blue = bytearray(inst.blue.tobytes())
+    in_pool = bytearray(blue)
+    blocked = bytearray(g.n)
 
     images = {}
-    stamp = 0
-    while xsize > 0:
-        item, xsize = _heap_pop(xheap, xsize)
+    while xheap:
+        item = xheap[0]
         x = item & _ID_MASK
-        if not in_pool[x] or blue_deg[x] != cap - (item >> 32):
+        if not in_pool[x]:
+            heapq.heappop(xheap)
             continue
+        key = (-blue_deg[x] << 32) | x
+        if key != item:
+            heapq.heapreplace(xheap, key)  # stale: re-key in place
+            continue
+        heapq.heappop(xheap)
+        in_pool[x] = 0
 
-        mark[x] = stamp
-        for idx in range(indptr[x], indptr[x + 1]):
-            mark[indices[idx]] = stamp
-
+        closed_x = set(indices[indptr[x] : indptr[x + 1]].tolist())
+        closed_x.add(x)
         z = -1
-        naside = 0
-        while isize > 0:
-            cand_item, isize = _heap_pop(iheap, isize)
-            c = cand_item & _ID_MASK
+        aside = []
+        while iheap:
+            c = iheap[0] & _ID_MASK
             if not blue[c] or blocked[c]:
-                continue  # dead for good; drop the entry
-            if mark[c] == stamp:
-                aside[naside] = cand_item  # inside N[x]; keep for other x's
-                naside += 1
-                continue
-            z = c
-            break
-        for j in range(naside):
-            isize = _heap_push(iheap, isize, aside[j])
-        stamp += 1
-
+                heapq.heappop(iheap)  # dead for good; drop the entry
+            elif c in closed_x:
+                aside.append(heapq.heappop(iheap))  # keep for other x's
+            else:
+                z = c
+                break
+        for cand_item in aside:
+            heapq.heappush(iheap, cand_item)
         if z == -1:
-            in_pool[x] = False
             continue
 
-        images[int(x)] = int(z)
+        images[x] = z
 
         # recolor N[x]'s blue vertices (x included)
-        for off in range(-1, indptr[x + 1] - indptr[x]):
-            w = x if off == -1 else indices[indptr[x] + off]
+        for w in closed_x:
             if blue[w]:
-                blue[w] = False
-                in_pool[w] = False
-                for idx in range(indptr[w], indptr[w + 1]):
-                    t = indices[idx]
+                blue[w] = 0
+                in_pool[w] = 0
+                for t in indices[indptr[w] : indptr[w + 1]].tolist():
                     blue_deg[t] -= 1
-                    if in_pool[t]:
-                        xsize = _heap_push(
-                            xheap, xsize, ((cap - blue_deg[t]) << 32) | t
-                        )
 
         # bar everything within distance two of z from being an image,
         # and pull z's closed neighborhood out of the pool
-        for off in range(-1, indptr[z + 1] - indptr[z]):
-            u = z if off == -1 else indices[indptr[z] + off]
-            in_pool[u] = False
-            blocked[u] = True
-            for idx in range(indptr[u], indptr[u + 1]):
-                blocked[indices[idx]] = True
+        row_z = indices[indptr[z] : indptr[z + 1]].tolist()
+        row_z.append(z)
+        for u in row_z:
+            in_pool[u] = 0
+            blocked[u] = 1
+            for t in indices[indptr[u] : indptr[u + 1]].tolist():
+                blocked[t] = 1
 
+    inst.blue[:] = np.frombuffer(blue, np.bool_)
     if not images:
         return None
     psi = PsiMap(images)

@@ -136,6 +136,24 @@ def degeneracy_reference(g):
     return order, d_out
 
 
+def build_graph_reference(n, edges):
+    """CSR arrays of build_graph, from one neighbor set per vertex.
+
+    Returns (indptr, indices) as lists: self-loops dropped, each edge in
+    both rows once, rows sorted ascending.
+    """
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            rows[u].add(v)
+            rows[v].add(u)
+    indptr, indices = [0], []
+    for row in rows:
+        indices.extend(sorted(row))
+        indptr.append(len(indices))
+    return indptr, indices
+
+
 def pendant_reference(g, blue):
     """Set-based replay of the exhaustive pendant rule; returns (reps, blue)."""
     blue = set(blue)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rbdom import (
     InvariantError,
@@ -12,6 +14,7 @@ from rbdom import (
 from rbdom.generate import gen_gnp
 
 from conftest import (
+    build_graph_reference,
     complete_graph,
     cycle_graph,
     degeneracy_by_subgraphs,
@@ -68,6 +71,33 @@ def test_build_idempotent_under_permutation_and_duplication(rng):
         rng.shuffle(perm)
         doubled = [(v, u) for u, v in perm] + perm + edges
         assert build_graph(g.n, doubled) == g
+
+
+@st.composite
+def edge_arrays(draw):
+    """n in 0..30 and up to 90 raw pairs: loops, duplicates, both orientations, any order."""
+    n = draw(st.integers(0, 30))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=90))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(edge_arrays())
+@example((0, []))
+@example((1, []))
+@example((1, [(0, 0), (0, 0)]))
+@example((3, [(2, 1), (1, 2), (0, 2), (2, 0), (1, 1), (2, 1)]))
+def test_build_matches_set_reference(case):
+    n, edges = case
+    ref_indptr, ref_indices = build_graph_reference(n, edges)
+    for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+        g = build_graph(n, given_edges)
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        assert g.indptr.tolist() == ref_indptr
+        assert g.indices.tolist() == ref_indices
+        assert g.n == n and g.m == len(ref_indices) // 2
 
 
 def test_edges_sorted_python_ints():

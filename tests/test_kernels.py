@@ -1,4 +1,4 @@
-"""The packed-priority binary heap shared by the lossy rule and greedy cover."""
+"""The packed-priority binary heap behind greedy cover."""
 
 import numpy as np
 

@@ -149,6 +149,22 @@ def test_lossy_after_pendant_pipeline(rng):
             assert verify_psi(before, rec.psi)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coloured_instances(n_max=40))
+def test_lossy_matches_reference_on_coloured_instances(inst):
+    xs, psi, blue = lossy_reference(inst.graph, inst.blue_vertices().tolist())
+    rec = rr_lossy2(inst)
+    assert inst.blue.dtype == np.bool_
+    assert set(inst.blue_vertices().tolist()) == blue
+    if rec is None:
+        assert xs == []
+        return
+    assert list(rec.psi.images) == xs
+    assert rec.psi.images == psi
+    assert all(type(x) is int and type(z) is int for x, z in rec.psi.images.items())
+    assert all(type(x) is int for x in rec.add_set)
+
+
 def test_scd_nbr(rng):
     g = path_graph(7)
     assert scd_nbr(g).tolist() == [2, 3, 4, 4, 4, 3, 2]
