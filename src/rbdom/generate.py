@@ -28,29 +28,62 @@ def gen_gnp(n, avg_deg, seed):
         raise ValueError(f"need 0 < avg_deg < n, got avg_deg={avg_deg}")
     p = avg_deg / n
     total = n * (n - 1) // 2
+    return build_graph(n, _gnp_edges(total, p, seed, max(1024, int(total * p * 1.2))))
+
+
+def _gnp_edges(total, p, seed, block):
+    """(m, 2) int64 pairs (a, b), a < b, each of the ``total`` pairs kept w.p. p.
+
+    Draws ``block`` uniforms per ``rng.random`` call until the skipped gaps
+    pass the last pair, so ``block`` is part of the seeded stream. Each
+    array is worked on in place; the pair decode reuses one scratch array.
+    """
     rng = np.random.default_rng(seed)
     log_q = math.log1p(-p)
-
     picked = []
     last = -1
-    block = max(1024, int(total * p * 1.2))
     while last < total - 1:
         u = rng.random(block)
         np.clip(u, 1e-300, None, out=u)
-        gaps = np.floor(np.log(u) / log_q).astype(np.int64) + 1
-        positions = last + np.cumsum(gaps)
-        picked.append(positions[positions <= total - 1])
+        np.log(u, out=u)
+        u /= log_q
+        np.floor(u, out=u)
+        positions = u.astype(np.int64)
+        del u
+        positions += 1
+        np.cumsum(positions, out=positions)
+        positions += last
+        # positions rise strictly, so the pairs in range are a prefix
+        picked.append(positions[: np.searchsorted(positions, total - 1, side="right")])
         last = int(positions[-1])
     if not picked:
-        return build_graph(n, [])
-    t = np.concatenate(picked)
+        return np.empty((0, 2), np.int64)
+    t = picked[0] if len(picked) == 1 else np.concatenate(picked)
+    del picked
 
     # linear index t of pair (a, b), a < b, is b*(b-1)/2 + a
-    b = ((1.0 + np.sqrt(1.0 + 8.0 * t)) / 2.0).astype(np.int64)
-    b -= b * (b - 1) // 2 > t
-    b += b * (b + 1) // 2 <= t
-    a = t - b * (b - 1) // 2
-    return build_graph(n, np.column_stack([a, b]))
+    edges = np.empty((t.size, 2), np.int64)
+    a, b = edges[:, 0], edges[:, 1]
+    f = np.multiply(t, 8.0)
+    f += 1.0
+    np.sqrt(f, out=f)
+    f += 1.0
+    f /= 2.0
+    b[:] = f
+    w = f.view(np.int64)  # scratch for b*(b-1)/2 and b*(b+1)/2
+    np.subtract(b, 1, out=w)
+    w *= b
+    w //= 2
+    b -= w > t
+    np.add(b, 1, out=w)
+    w *= b
+    w //= 2
+    b += w <= t
+    np.subtract(b, 1, out=w)
+    w *= b
+    w //= 2
+    np.subtract(t, w, out=a)
+    return edges
 
 
 def gen_gnm(n, avg_deg, seed):

@@ -39,9 +39,12 @@ class Graph:
 
     def edge_array(self):
         """Edges as an (m, 2) int64 array of rows (u, v) with u < v, sorted."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        upper = src < self.indices
-        return np.column_stack((src[upper], self.indices[upper]))
+        out = np.empty((self.m, 2), np.int64)
+        i = 0
+        for pairs in _edge_blocks(self, _EDGE_BLOCK):
+            out[i : i + pairs.shape[0]] = pairs
+            i += pairs.shape[0]
+        return out
 
     def edges(self):
         """Iterate edges as (u, v) with u < v, sorted, as Python ints."""
@@ -59,6 +62,23 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+# adjacency entries turned into edges per step of _edge_blocks
+_EDGE_BLOCK = 1 << 16
+
+
+def _edge_blocks(g, step):
+    """Consecutive (k, 2) int64 blocks of ``g.edge_array()``, one per ``step`` adjacency entries."""
+    for i in range(0, g.indices.shape[0], step):
+        dst = g.indices[i : i + step]
+        j = i + dst.shape[0]
+        # rows first..last hold entries i..j-1; clipped bounds count each row's share
+        first, last = np.searchsorted(g.indptr, (i, j - 1), side="right") - 1
+        shares = np.diff(np.clip(g.indptr[first : last + 2], i, j))
+        src = np.repeat(np.arange(first, last + 1), shares)
+        upper = src < dst
+        yield np.column_stack((src[upper], dst[upper]))
 
 
 def build_graph(n, edges):
@@ -81,17 +101,27 @@ def build_graph(n, edges):
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be pairs of vertex ids")
 
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        bad = (arr < 0) | (arr >= n)
         i = int(np.argmax(bad.any(axis=1)))
         u, v = arr[i]
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
 
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    keep = lo != hi
-    # one key lo * n + hi per undirected edge, deduplicated
-    key = np.unique(lo[keep] * np.int64(n) + hi[keep])
+    # one key lo * n + hi per undirected edge, sorted and deduplicated;
+    # lo * (n - 1) + u + v is that key without a second array for hi
+    u, v = arr[:, 0], arr[:, 1]
+    key = np.minimum(u, v)
+    key *= n - 1
+    key += u
+    key += v
+    loops = u == v
+    if loops.any():
+        key = key[~loops]
+    key.sort()
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        key = key[np.concatenate(([True], ~repeat))]
+    del loops, repeat
     m = key.size
     if m >= edge_cap:
         raise ValueError(f"edge count {m} exceeds the supported 2^30 limit")
@@ -100,12 +130,14 @@ def build_graph(n, edges):
     # within each row, the neighbors
     keys = np.empty(2 * m, np.int64)
     keys[:m] = key
-    lo, hi = np.divmod(key, n)
-    np.multiply(hi, n, out=keys[m:])
-    keys[m:] += lo
+    rev = keys[m:]
+    np.remainder(key, n, out=rev)
+    rev *= n
+    key //= n
+    rev += key
+    del key, rev
     keys.sort()
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     keys %= n
     return Graph(n, indptr, keys)
 
@@ -195,7 +227,13 @@ def check_graph_invariants(g):
     flat_drops = np.flatnonzero(np.diff(g.indices) <= 0) + 1
     if not np.isin(flat_drops, g.indptr[1:-1]).all():
         raise InvariantError("adjacency rows not strictly increasing")
-    fwd = np.sort(src * np.int64(max(g.n, 1)) + g.indices)
-    rev = np.sort(g.indices * np.int64(max(g.n, 1)) + src)
+    # the rows are sorted, so the forward keys src * n + dst already are;
+    # only the reversed keys need a sort
+    n = np.int64(max(g.n, 1))
+    fwd = src * n
+    fwd += g.indices
+    rev = g.indices * n
+    rev += src
+    rev.sort()
     if not np.array_equal(fwd, rev):
         raise InvariantError("adjacency not symmetric")

@@ -18,7 +18,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .graph import build_graph
+from .graph import _edge_blocks, build_graph
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,8 @@ _BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
 _BYTE_CLASS[ord("\n")] = _NEWLINE
 # longer digit runs may not fit in int64
 _MAX_DIGITS = 18
+# characters tokenized per step of the bulk reader, extended to a line end
+_PARSE_CHUNK = 1 << 16
 
 
 def _bulk_edge_list(text):
@@ -65,20 +67,52 @@ def _bulk_edge_list(text):
 
     Plain text holds only ASCII digits, spaces, tabs and LF, which is what
     write_edge_list emits; comments, CRs and every other byte go to the
-    scanner. The checks on the header, the tokens per line, the edge count
-    and the id range are done on whole arrays; any failure returns None.
+    scanner. The text is tokenized in chunks that end at a line end, and the
+    checks on the header, the tokens per line, the edge count and the id
+    range are done on whole arrays; any failure returns None.
     """
     if not text.isascii():
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    values = None
+    filled = 0
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _PARSE_CHUNK) + 1 or len(text)
+        tokens = _chunk_tokens(text[start:stop])
+        start = stop
+        if tokens is None:
+            return None
+        if not tokens.size:
+            continue
+        if values is None:
+            # a header plus m edges need at least m line ends
+            m = int(tokens[1])
+            if m > text.count("\n"):
+                return None
+            values = np.empty(2 * m + 2, np.int64)
+        if filled + tokens.size > values.size:
+            return None
+        values[filled : filled + tokens.size] = tokens
+        filled += tokens.size
+    if values is None or filled != values.size:
+        return None
+    n = int(values[0])
+    edges = values[2:].reshape(-1, 2)
+    if edges.size and edges.max() >= n:
+        return None
+    return n, edges
+
+
+def _chunk_tokens(chunk):
+    """int64 values of the digit runs of whole lines, or None unless two per non-blank line."""
+    buf = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
     cls = _BYTE_CLASS[buf]
-    if (cls == _OTHER).any():
+    if cls.max() == _OTHER:
         return None
     # tokens are the digit runs: starts at even, ends at odd bounds
     bounds = np.flatnonzero(np.diff(cls == _DIGIT, prepend=False, append=False))
     starts, ends = bounds[0::2], bounds[1::2]
-    # a header plus edges, two tokens on every non-blank line
-    if starts.size < 2 or starts.size % 2:
+    if starts.size % 2:
         return None
     lines = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
     del cls
@@ -86,18 +120,14 @@ def _bulk_edge_list(text):
         return None
     del lines
     width = ends - starts
-    longest = int(width.max())
+    longest = int(width.max()) if width.size else 0
     if longest > _MAX_DIGITS:
         return None
     values = np.zeros(starts.size, dtype=np.int64)
     for j in range(longest):
         digit = np.where(width > j, buf[ends - 1 - j], ord("0")) - ord("0")
         values += digit.astype(np.int64) * 10**j
-    n, m = int(values[0]), int(values[1])
-    edges = values[2:].reshape(-1, 2)
-    if edges.shape[0] != m or (edges >= n).any():
-        return None
-    return n, edges
+    return values
 
 
 def _scan_edge_list(text):
@@ -137,17 +167,16 @@ def _scan_edge_list(text):
     return n, edges
 
 
-# edges formatted per string operation by write_edge_list
-_WRITE_CHUNK = 4096
+# adjacency entries, about twice the edges, formatted per string operation
+# by write_edge_list
+_WRITE_CHUNK = 8192
 
 
 def write_edge_list(g):
     """Serialize a Graph to the edge list format."""
-    flat = g.edge_array().ravel()
     out = [f"{g.n} {g.m}\n"]
-    for i in range(0, flat.size, 2 * _WRITE_CHUNK):
-        chunk = flat[i : i + 2 * _WRITE_CHUNK].tolist()
-        out.append("%d %d\n" * (len(chunk) // 2) % tuple(chunk))
+    for pairs in _edge_blocks(g, _WRITE_CHUNK):
+        out.append("%d %d\n" * pairs.shape[0] % tuple(pairs.ravel().tolist()))
     return "".join(out)
 
 

@@ -7,6 +7,7 @@ against.
 
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -152,6 +153,45 @@ def build_graph_reference(n, edges):
         indices.extend(sorted(row))
         indptr.append(len(indices))
     return indptr, indices
+
+
+def gen_gnp_reference(n, avg_deg, seed, block=None):
+    """gen_gnp as whole-array expressions, the form the in-place version replaced.
+
+    ``block`` overrides the draws per ``rng.random`` call, which the public
+    function fixes at 1.2 times the expected edge count; a small block makes
+    the multi-block path reachable.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 0 < avg_deg < n:
+        raise ValueError(f"need 0 < avg_deg < n, got avg_deg={avg_deg}")
+    p = avg_deg / n
+    total = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    log_q = math.log1p(-p)
+
+    picked = []
+    last = -1
+    if block is None:
+        block = max(1024, int(total * p * 1.2))
+    while last < total - 1:
+        u = rng.random(block)
+        np.clip(u, 1e-300, None, out=u)
+        gaps = np.floor(np.log(u) / log_q).astype(np.int64) + 1
+        positions = last + np.cumsum(gaps)
+        picked.append(positions[positions <= total - 1])
+        last = int(positions[-1])
+    if not picked:
+        return build_graph(n, [])
+    t = np.concatenate(picked)
+
+    # linear index t of pair (a, b), a < b, is b*(b-1)/2 + a
+    b = ((1.0 + np.sqrt(1.0 + 8.0 * t)) / 2.0).astype(np.int64)
+    b -= b * (b - 1) // 2 > t
+    b += b * (b + 1) // 2 <= t
+    a = t - b * (b - 1) // 2
+    return build_graph(n, np.column_stack([a, b]))
 
 
 def pendant_reference(g, blue):

@@ -1,9 +1,12 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbdom import (
+    Graph,
     InvariantError,
     avg_degree,
     build_graph,
@@ -11,6 +14,7 @@ from rbdom import (
     closed_neighborhood,
     degeneracy_order,
 )
+from rbdom import graph
 from rbdom.generate import gen_gnp
 
 from conftest import (
@@ -100,6 +104,17 @@ def test_build_matches_set_reference(case):
         assert g.n == n and g.m == len(ref_indices) // 2
 
 
+def test_edge_array_in_small_blocks(rng):
+    graphs = [random_graph(rng, n_max=30) for _ in range(10)] + [build_graph(0, []), build_graph(3, [])]
+    for block in (1, 2, 3, 5, 8, 1 << 16):
+        with patch.object(graph, "_EDGE_BLOCK", block):
+            for g in graphs:
+                pairs = g.edge_array()
+                assert pairs.dtype == np.int64 and pairs.shape == (g.m, 2)
+                expected = sorted((u, v) for u in range(g.n) for v in g.neighbors(u).tolist() if u < v)
+                assert [tuple(e) for e in pairs.tolist()] == expected
+
+
 def test_edges_sorted_python_ints():
     g = build_graph(4, [(2, 1), (0, 3), (1, 0), (3, 2)])
     edges = list(g.edges())
@@ -175,3 +190,11 @@ def test_check_invariants_catches_via_handcrafted_breakage():
     bad.indices[0] = 2  # 0 -> 2 present, 2 -> 0 missing
     with pytest.raises(InvariantError):
         check_graph_invariants(bad)
+    # rows sorted and loop-free, but 0 -> 2 and 2 -> 1 have no reverse
+    lopsided = Graph(3, np.array([0, 2, 3, 4]), np.array([1, 2, 0, 1]))
+    with pytest.raises(InvariantError, match="not symmetric"):
+        check_graph_invariants(lopsided)
+    # the same entries with row 0 out of order fail the row check first
+    unsorted = Graph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 1]))
+    with pytest.raises(InvariantError, match="not strictly increasing"):
+        check_graph_invariants(unsorted)

@@ -1,4 +1,5 @@
 import logging
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,8 @@ from rbdom import (
     write_edge_list,
     write_report_csv,
 )
-from rbdom.io import round_half_up
+from rbdom import io
+from rbdom.io import _bulk_edge_list, round_half_up
 from rbdom.pipeline import AggregateStats, RunReport
 
 from conftest import (
@@ -76,6 +78,24 @@ def test_write_edge_list_bytes():
     assert write_edge_list(build_graph(4, [])) == "4 0\n"
     g = gen_gnp(3000, 8.0, 1)
     assert write_edge_list(g) == write_edge_list_reference(g)
+
+
+def test_write_edge_list_in_small_chunks(rng):
+    graphs = [random_graph(rng, n_max=30) for _ in range(10)] + [build_graph(4, [])]
+    for chunk in (1, 2, 3, 5, 8):
+        with patch.object(io, "_WRITE_CHUNK", chunk):
+            for g in graphs:
+                assert write_edge_list(g) == write_edge_list_reference(g)
+
+
+def test_bulk_reader_takes_written_text(rng):
+    graphs = [random_graph(rng, n_max=30) for _ in range(10)] + [gen_gnp(3000, 8.0, 1)]
+    for chunk in (1, 7, 1 << 16):
+        with patch.object(io, "_PARSE_CHUNK", chunk):
+            for g in graphs:
+                n, edges = _bulk_edge_list(write_edge_list(g))
+                assert n == g.n
+                assert edges.tolist() == [list(e) for e in g.edges()]
 
 
 # one of these, or none, is applied to each drawn text
@@ -192,13 +212,19 @@ def _outcome(parse, text):
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
-@given(edge_list_texts())
-@example("3 1\n0\r1\n")
-@example("12345678901234567890 0\n")
-@example("3 1\n0 3\n")
-@example("3 1\n0 9999999999999999999\n")
-def test_parse_edge_list_matches_reference(text):
-    assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
+@given(edge_list_texts(), st.sampled_from((io._PARSE_CHUNK, 1, 2, 3, 5, 8, 13)))
+@example("3 1\n0\r1\n", io._PARSE_CHUNK)
+@example("12345678901234567890 0\n", io._PARSE_CHUNK)
+@example("3 1\n0 3\n", io._PARSE_CHUNK)
+@example("3 1\n0 9999999999999999999\n", io._PARSE_CHUNK)
+@example("\n" * 40 + "3 2\n0 1\n1 2\n", 4)
+@example("3 2\n0 1\n" + " " * 40 + "1 2", 3)
+@example("3 1\n" + "\n" * 40, 2)
+def test_parse_edge_list_matches_reference(text, chunk):
+    """The bulk reader's chunks may end inside blank runs, long lines or the last line."""
+    with patch.object(io, "_PARSE_CHUNK", chunk):
+        got = _outcome(parse_edge_list, text)
+    assert got == _outcome(parse_edge_list_reference, text)
 
 
 MTX_P3 = """%%MatrixMarket matrix coordinate pattern symmetric

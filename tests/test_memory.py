@@ -1,0 +1,67 @@
+"""Peak memory of graph construction, relative to the CSR it produces.
+
+Each bound divides a call's tracemalloc peak by the bytes of the CSR arrays
+of ``gen_gnp(20_000, 20.0, 1)`` (``indptr.nbytes + indices.nbytes``, 3.2
+MiB). The whole-array forms these layers replaced peaked at 8.2 (gen_gnp),
+3.6 (build_graph), 5.8 (parse_edge_list) and 3.0 (write_edge_list) times the
+CSR; the ratios hold steady from n = 5,000 to n = 50,000.
+"""
+
+import tracemalloc
+
+import pytest
+
+from rbdom import build_graph, gen_gnp, parse_edge_list, write_edge_list
+
+N, AVG_DEG, SEED = 20_000, 20.0, 1
+
+
+def traced_peak(fn, *args):
+    """(result, bytes of the tracemalloc peak above the memory traced at the call)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def headline():
+    g = gen_gnp(N, AVG_DEG, SEED)
+    return g, g.indptr.nbytes + g.indices.nbytes
+
+
+def test_gen_gnp_peak(headline):
+    g, csr = headline
+    built, peak = traced_peak(gen_gnp, N, AVG_DEG, SEED)
+    assert built == g
+    assert peak / csr <= 3.5
+
+
+def test_build_graph_peak(headline):
+    g, csr = headline
+    edges = g.edge_array()
+    built, peak = traced_peak(build_graph, g.n, edges)
+    assert built == g
+    assert peak / csr <= 2.0
+
+
+def test_parse_edge_list_peak(headline):
+    g, csr = headline
+    text = write_edge_list(g)
+    parsed, peak = traced_peak(parse_edge_list, text)
+    assert parsed == g
+    assert peak / csr <= 4.0
+
+
+def test_write_edge_list_peak(headline):
+    g, csr = headline
+    text, peak = traced_peak(write_edge_list, g)
+    assert parse_edge_list(text) == g
+    assert peak / csr <= 2.0
