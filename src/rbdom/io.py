@@ -1,7 +1,9 @@
 """Graph file ingestion and report emission.
 
 Edge list format: first non-comment line is "n m", followed by m lines
-"u v" with 0-based vertex ids; '#' starts a comment line. Matrix Market
+"u v" with 0-based vertex ids; '#' starts a comment line. Plain edge-list
+text passes one regex check and is read by numpy; other text goes through a
+line scanner that names the first malformed line. Matrix Market
 ingestion accepts symmetric coordinate matrices only, treats them as
 adjacency matrices (1-based entries, diagonal ignored, values ignored), and
 warns when the nonzero count exceeds ``DENSITY_LIMIT`` (20) times the row
@@ -13,7 +15,9 @@ percentages are printed with two decimals, rounded half-up, and '--' stands
 for "absent".
 """
 
+import csv
 import logging
+import re
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -38,8 +42,8 @@ def parse_edge_list(text):
     """Parse the edge list format into a Graph.
 
     Self-loops and duplicate edges are dropped with a logged warning count.
-    Text in the documented format is read in bulk; anything else goes
-    through the line scanner, which names the first malformed line.
+    Plain text (digits, spaces, tabs and LF) is read in bulk by numpy; anything
+    else goes through the line scanner, which names the first malformed line.
     """
     parsed = _bulk_edge_list(text)
     n, edges = _scan_edge_list(text) if parsed is None else parsed
@@ -50,84 +54,31 @@ def parse_edge_list(text):
     return g
 
 
-# byte classes of the bulk edge-list reader
-_DIGIT, _BLANK, _NEWLINE, _OTHER = range(4)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
-_BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
-_BYTE_CLASS[ord("\n")] = _NEWLINE
-# longer digit runs may not fit in int64
-_MAX_DIGITS = 18
-# characters tokenized per step of the bulk reader, extended to a line end
-_PARSE_CHUNK = 1 << 16
+# plain text: every line blank or two runs of 1-18 ASCII digits, which fit in
+# int64, split by spaces or tabs, with LF line ends; all quantifiers are
+# possessive, so fullmatch keeps no backtracking state
+_PLAIN_LINE = r"[ \t]*+(?:[0-9]{1,18}+[ \t]++[0-9]{1,18}+[ \t]*+)?+"
+_PLAIN_TEXT = re.compile(rf"{_PLAIN_LINE}(?:\n{_PLAIN_LINE})*+")
 
 
 def _bulk_edge_list(text):
     """(n, (m, 2) int64 edges) of plain text, or None to defer to the scanner.
 
-    Plain text holds only ASCII digits, spaces, tabs and LF, which is what
-    write_edge_list emits; comments, CRs and every other byte go to the
-    scanner. The text is tokenized in chunks that end at a line end, and the
-    checks on the header, the tokens per line, the edge count and the id
-    range are done on whole arrays; any failure returns None.
+    Plain text, which write_edge_list emits, passes one regex check and is
+    read by numpy's text reader. A failed check on the header, the edge
+    count or the id range returns None.
     """
-    if not text.isascii():
+    # np.fromstring reads text without a digit as [0]
+    if not _PLAIN_TEXT.fullmatch(text) or not re.search("[0-9]", text):
         return None
-    values = None
-    filled = 0
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _PARSE_CHUNK) + 1 or len(text)
-        tokens = _chunk_tokens(text[start:stop])
-        start = stop
-        if tokens is None:
-            return None
-        if not tokens.size:
-            continue
-        if values is None:
-            # a header plus m edges need at least m line ends
-            m = int(tokens[1])
-            if m > text.count("\n"):
-                return None
-            values = np.empty(2 * m + 2, np.int64)
-        if filled + tokens.size > values.size:
-            return None
-        values[filled : filled + tokens.size] = tokens
-        filled += tokens.size
-    if values is None or filled != values.size:
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    n, m = int(values[0]), int(values[1])
+    if values.size != 2 * m + 2:
         return None
-    n = int(values[0])
     edges = values[2:].reshape(-1, 2)
     if edges.size and edges.max() >= n:
         return None
     return n, edges
-
-
-def _chunk_tokens(chunk):
-    """int64 values of the digit runs of whole lines, or None unless two per non-blank line."""
-    buf = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
-    cls = _BYTE_CLASS[buf]
-    if cls.max() == _OTHER:
-        return None
-    # tokens are the digit runs: starts at even, ends at odd bounds
-    bounds = np.flatnonzero(np.diff(cls == _DIGIT, prepend=False, append=False))
-    starts, ends = bounds[0::2], bounds[1::2]
-    if starts.size % 2:
-        return None
-    lines = np.searchsorted(np.flatnonzero(cls == _NEWLINE), starts)
-    del cls
-    if (lines[0::2] != lines[1::2]).any() or (lines[1:-1:2] == lines[2::2]).any():
-        return None
-    del lines
-    width = ends - starts
-    longest = int(width.max()) if width.size else 0
-    if longest > _MAX_DIGITS:
-        return None
-    values = np.zeros(starts.size, dtype=np.int64)
-    for j in range(longest):
-        digit = np.where(width > j, buf[ends - 1 - j], ord("0")) - ord("0")
-        values += digit.astype(np.int64) * 10**j
-    return values
 
 
 def _scan_edge_list(text):
@@ -279,16 +230,14 @@ def _format_imprv(report):
 
 
 def write_report_csv(rows, path, aggregates=None):
-    """Write per-instance report rows, optionally with aggregate comment lines."""
-    out = ["id,n,m,ex,aa,la,imprv"]
-    for r in rows:
-        out.append(
-            f"{r.id},{r.n},{r.m},{_format_ex(r)},{r.aa},{r.la},{_format_imprv(r)}"
-        )
-    for agg in aggregates or []:
-        avg = "--" if agg.avg_imprv is None else f"{round_half_up(agg.avg_imprv, 2):.2f}"
-        out.append(
-            f"# {agg.category},{agg.count},{round_half_up(agg.pct_improved, 2):.2f},{avg}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    """Write report rows as CSV, then each aggregate as "# " and one CSV row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["id", "n", "m", "ex", "aa", "la", "imprv"])
+        for r in rows:
+            out.writerow([r.id, r.n, r.m, _format_ex(r), r.aa, r.la, _format_imprv(r)])
+        for agg in aggregates or []:
+            pct = f"{round_half_up(agg.pct_improved, 2):.2f}"
+            avg = "--" if agg.avg_imprv is None else f"{round_half_up(agg.avg_imprv, 2):.2f}"
+            fh.write("# ")
+            out.writerow([agg.category, agg.count, pct, avg])

@@ -221,6 +221,7 @@ def test_improvement_formula_reference_rows():
     _report("improvement formula on reference rows", ok)
 
 
+@pytest.mark.slow
 def test_directional_improvement_on_random_binomial_graphs():
     # 50 instances, n in [1000, 10000], avg_deg in [6, 20]; improvement
     # fraction must reach 30%
@@ -257,6 +258,7 @@ def test_preferential_attachment_rarely_improves():
     )
 
 
+@pytest.mark.slow
 def test_reduction_and_pipeline_performance():
     # warm-up call outside the timed region
     small = gen_gnp(200, 8.0, 1)

@@ -1,3 +1,4 @@
+import csv
 import logging
 from unittest.mock import patch
 
@@ -89,13 +90,15 @@ def test_write_edge_list_in_small_chunks(rng):
 
 
 def test_bulk_reader_takes_written_text(rng):
+    """The bulk path, not the scanner, reads what write_edge_list emits."""
     graphs = [random_graph(rng, n_max=30) for _ in range(10)] + [gen_gnp(3000, 8.0, 1)]
-    for chunk in (1, 7, 1 << 16):
-        with patch.object(io, "_PARSE_CHUNK", chunk):
-            for g in graphs:
-                n, edges = _bulk_edge_list(write_edge_list(g))
-                assert n == g.n
-                assert edges.tolist() == [list(e) for e in g.edges()]
+    graphs += [build_graph(0, []), build_graph(1, []), build_graph(4, [])]
+    for g in graphs:
+        parsed = _bulk_edge_list(write_edge_list(g))
+        assert parsed is not None
+        n, edges = parsed
+        assert n == g.n
+        assert edges.tolist() == [list(e) for e in g.edges()]
 
 
 # one of these, or none, is applied to each drawn text
@@ -212,19 +215,23 @@ def _outcome(parse, text):
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
-@given(edge_list_texts(), st.sampled_from((io._PARSE_CHUNK, 1, 2, 3, 5, 8, 13)))
-@example("3 1\n0\r1\n", io._PARSE_CHUNK)
-@example("12345678901234567890 0\n", io._PARSE_CHUNK)
-@example("3 1\n0 3\n", io._PARSE_CHUNK)
-@example("3 1\n0 9999999999999999999\n", io._PARSE_CHUNK)
-@example("\n" * 40 + "3 2\n0 1\n1 2\n", 4)
-@example("3 2\n0 1\n" + " " * 40 + "1 2", 3)
-@example("3 1\n" + "\n" * 40, 2)
-def test_parse_edge_list_matches_reference(text, chunk):
-    """The bulk reader's chunks may end inside blank runs, long lines or the last line."""
-    with patch.object(io, "_PARSE_CHUNK", chunk):
-        got = _outcome(parse_edge_list, text)
-    assert got == _outcome(parse_edge_list_reference, text)
+@given(edge_list_texts())
+@example("3 1\n0\r1\n")
+@example("12345678901234567890 0\n")
+@example("3 1\n0 3\n")
+@example("3 1\n0 9999999999999999999\n")
+@example("\n" * 40 + "3 2\n0 1\n1 2\n")
+@example("3 2\n0 1\n" + " " * 40 + "1 2")
+@example("3 1\n" + "\n" * 40)
+@example(" ")
+@example("  \n")
+@example("\t\n\n")
+@example("1 999999999999999999\n")
+@example("3 1\n0 1 \n")
+@example("\u0663 1\n")
+def test_parse_edge_list_matches_reference(text):
+    """Same graph or error as the reference parser, also at the edges of the regex gate."""
+    assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_reference, text)
 
 
 MTX_P3 = """%%MatrixMarket matrix coordinate pattern symmetric
@@ -305,6 +312,23 @@ def test_write_report_csv_unproven_marker_and_aggregates(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "a,5,4,~3,4,3,33.33"
     assert lines[2] == "# demo,1,100.00,33.33"
+
+
+def test_write_report_csv_quotes_commas_and_quotes(tmp_path):
+    rows = [
+        RunReport('a,b"c', 5, 4, 3, 4, 3, 100 / 3),
+        RunReport("plain", 2, 1, 1, 1, 1, None),
+    ]
+    agg = AggregateStats("cat,egory", 2, 50.0, 100 / 3)
+    out = tmp_path / "report.csv"
+    write_report_csv(rows, out, aggregates=[agg])
+    lines = out.read_text().splitlines()
+    assert lines[2] == "plain,2,1,1,1,1,--"
+    table = list(csv.reader(lines[:3]))
+    assert [len(fields) for fields in table] == [7, 7, 7]
+    assert table[1] == ['a,b"c', "5", "4", "3", "4", "3", "33.33"]
+    assert lines[3].startswith("# ")
+    assert next(csv.reader([lines[3][2:]])) == ["cat,egory", "2", "50.00", "33.33"]
 
 
 def test_write_report_csv_empty(tmp_path):
