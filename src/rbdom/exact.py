@@ -8,10 +8,13 @@ stack: it branches on a blue vertex that is hardest to dominate (smallest
 closed neighborhood), trying the vertices of its ball lowest first, prunes
 with a packing lower bound (blue vertices with pairwise-disjoint closed
 neighborhoods, each forcing one distinct solution vertex), and starts from
-the greedy incumbent. A frame keeps the dominated and banned masks of its
-node, so backtracking resumes from the frame with no state to undo. The
-search budget is a deterministic work counter derived from the requested
-time limit, so repeated runs return identical results; see
+the greedy incumbent. The blue vertices are grouped into one mask per ball
+size, so both the branch vertex and the packing are found a size class at
+a time, and the packing blocks each pick's distance-2 mask, built on first
+use. A frame keeps the dominated and banned masks, the work and the vertex
+taken at its node, so backtracking resumes from the frame with no state to
+undo. The search budget is a deterministic work counter derived from the
+requested time limit, so repeated runs return identical results; see
 WORK_UNITS_PER_SECOND.
 """
 
@@ -24,13 +27,21 @@ from .approx import Approximator, approximate
 
 # Work units granted per second of time budget. A unit is one vertex of a
 # closed neighborhood touched by the search: a fixed, deterministic measure
-# of work, not a measured speed. On perfbench's exact-small workload the
-# bitset search spends about 8 million units per second (CPython 3.11, 2
-# vCPU x86-64), so a budget runs out long before its nominal time.
-# Recalibrating changes which searches finish, and so the results.
+# of work, not a measured speed. A node is charged its newly dominated
+# vertices plus one, and, when it computes a packing bound, the summed ball
+# sizes of its undominated blue vertices, whether or not the bound stops
+# early. On perfbench's exact-small workload the bitset search spends about
+# 13 million units per second (CPython 3.11, 2 vCPU x86-64), so a budget
+# runs out long before its nominal time. Recalibrating changes which
+# searches finish, and so the results.
 WORK_UNITS_PER_SECOND = 300_000
 
 BRUTE_FORCE_LIMIT = 24
+
+
+def _bitset(flags):
+    """Python-int bitset with bit v set where the bool array ``flags`` is."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def _masks(inst):
@@ -44,8 +55,24 @@ def _masks(inst):
         for u in indices[indptr[v] : indptr[v + 1]]:
             b |= 1 << u
         ball.append(b)
-    blue = int.from_bytes(np.packbits(inst.blue, bitorder="little").tobytes(), "little")
-    return ball, blue
+    return ball, _bitset(inst.blue)
+
+
+class _Distance2(dict):
+    """Distance-2 masks, built on first use: N[N[v]], the w whose ball meets N[v]."""
+
+    def __init__(self, graph, ball):
+        self.indptr = graph.indptr.tolist()
+        self.indices = graph.indices.tolist()
+        self.ball = ball
+
+    def __missing__(self, v):
+        ball = self.ball
+        reach = ball[v]
+        for u in self.indices[self.indptr[v] : self.indptr[v + 1]]:
+            reach |= ball[u]
+        self[v] = reach
+        return reach
 
 
 def brute_force_min(inst):
@@ -72,23 +99,31 @@ def brute_force_min(inst):
     raise AssertionError("unreachable: the full vertex set dominates everything")
 
 
-def _packing_lower_bound(ball, ball_size, by_ball, dom):
+def _packing_lower_bound(classes, start, dom, cap, dist2):
     """Greedy count of undominated blue vertices with disjoint closed balls.
 
     Any valid solution needs one vertex inside each such ball, so the count
-    lower-bounds the remaining solution size. Returns (count, work), where
-    work is the summed ball size of the undominated blue vertices visited.
+    lower-bounds the remaining solution size. ``classes`` holds one blue
+    mask per ball size, smallest first; those before ``start`` hold no
+    undominated vertex. The greedy takes blue vertices by ball size, ties by
+    id, skipping any whose ball meets an earlier pick's: within a class it
+    takes the lowest bit not yet blocked, then blocks the pick's distance-2
+    mask ``dist2[v]``, which holds exactly the vertices whose balls meet
+    N[v]. Counting stops once it reaches ``cap``, which is enough to prune.
     """
-    used = count = work = 0
-    for v in by_ball:
-        if dom >> v & 1:
-            continue
-        work += ball_size[v]
-        if used & ball[v]:
-            continue
-        used |= ball[v]
-        count += 1
-    return count, work
+    count = 0
+    blocked = dom
+    for cls in classes[start:]:
+        free = cls & ~blocked
+        while free:
+            v = (free & -free).bit_length() - 1
+            count += 1
+            if count >= cap:
+                return count
+            reach = dist2[v]
+            blocked |= reach
+            free &= ~reach
+    return count
 
 
 def exact_min(inst, time_budget=30.0):
@@ -111,28 +146,33 @@ def exact_min(inst, time_budget=30.0):
 
     left = max(10_000, int(time_budget * WORK_UNITS_PER_SECOND))
 
+    g = inst.graph
     ball, blue = _masks(inst)
-    ball_size = (np.diff(inst.graph.indptr) + 1).tolist()
-    # blue vertices by ball size, ties by id (the sort is stable)
-    by_ball = sorted(np.flatnonzero(inst.blue).tolist(), key=ball_size.__getitem__)
+    sizes = np.diff(g.indptr) + 1
+    ball_size = sizes.tolist()
+    # one mask of blue vertices per ball size, smallest first
+    classes = [_bitset(inst.blue & (sizes == s)) for s in np.unique(sizes[inst.blue])]
+    dist2 = _Distance2(g, ball)
 
-    root_lb, work = _packing_lower_bound(ball, ball_size, by_ball, 0)
+    # the work of a node is the summed ball size of its undominated blue vertices
+    work = int(sizes[inst.blue].sum())
+    root_lb = _packing_lower_bound(classes, 0, 0, math.inf, dist2)
     left -= work
     if root_lb >= best_size:
         return set(best), True, best_size
     if left <= 0:
         return set(best), False, root_lb
 
-    chosen = []
-    # one frame per open node: [branch index in by_ball, dominated mask,
-    # banned mask, options not yet tried]; the root branches on by_ball[0]
-    stack = [[0, 0, 0, ball[by_ball[0]]]]
+    # one frame per open node: [first class with an undominated vertex,
+    # dominated mask, banned mask, options not yet tried, work, vertex taken
+    # into the open child]; the root branches on the lowest bit of classes[0]
+    first = classes[0] & -classes[0]
+    stack = [[0, 0, 0, ball[first.bit_length() - 1], work, -1]]
     truncated = False
     while stack:
         # descend into the next untried option of the deepest open node
         frame = stack[-1]
-        del chosen[len(stack) - 1 :]
-        scan, node_dom, banned, options = frame
+        start, node_dom, banned, options, work, _ = frame
         if options == 0:
             stack.pop()
             continue
@@ -141,28 +181,35 @@ def exact_min(inst, time_budget=30.0):
         # solutions containing u are fully explored once its subtree ends
         frame[2] = banned | low
         frame[3] = options ^ low
-        left -= (ball[u] & ~node_dom).bit_count() + 1
-        chosen.append(u)
-        dom = node_dom | ball[u]
+        frame[5] = u
+        fresh = ball[u] & ~node_dom
+        left -= fresh.bit_count() + 1
+        dom = node_dom | fresh
 
-        # evaluate the node reached by the vertices in chosen
-        depth = len(chosen)
+        # evaluate the node reached by the vertices taken along the stack
+        depth = len(stack)
         if blue & ~dom == 0:
             if depth < best_size:
-                best = list(chosen)
+                best = [f[5] for f in stack]
                 best_size = depth
         elif depth + 1 < best_size:
-            lb, work = _packing_lower_bound(ball, ball_size, by_ball, dom)
+            fresh &= blue
+            while fresh:
+                low = fresh & -fresh
+                work -= ball_size[low.bit_length() - 1]
+                fresh ^= low
             left -= work
             if left <= 0:
                 truncated = True
                 break
+            while not classes[start] & ~dom:
+                start += 1
+            lb = _packing_lower_bound(classes, start, dom, best_size - depth, dist2)
             if depth + lb < best_size:
                 # branch on the first (smallest closed ball) undominated blue vertex
-                i = scan
-                while dom >> by_ball[i] & 1:
-                    i += 1
-                stack.append([i, dom, banned, ball[by_ball[i]] & ~banned])
+                low = classes[start] & ~dom
+                v = (low & -low).bit_length() - 1
+                stack.append([start, dom, banned, ball[v] & ~banned, work, -1])
 
     if best_size <= root_lb or not truncated:
         return set(best), True, best_size

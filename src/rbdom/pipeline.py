@@ -115,8 +115,9 @@ def run_instance(
 ):
     """Run both pipelines (and optionally the exact solver) on one graph.
 
-    Returns (RunReport, aa_seconds, la_seconds). Both pipeline outputs are
-    checked for validity; a failure raises InvariantError.
+    Returns (RunReport, aa_seconds, la_seconds). Both pipeline outputs and
+    the exact solution are checked for validity; a failure raises
+    InvariantError.
     """
     inst = all_blue(g)
 
@@ -137,6 +138,8 @@ def run_instance(
     proven = True
     if with_exact:
         s_ex, proven, _ = exact_min(inst, time_limit)
+        if not is_valid_solution(inst, s_ex):
+            raise InvariantError(f"{instance_id}: exact solution is not valid")
         ex = len(s_ex)
 
     aa, la = len(s_aa), len(s_la)

@@ -13,7 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rbdom import LiftRecord, ParseError, PsiMap, RBInstance, RuleKind, build_graph
+from rbdom import (
+    Approximator,
+    LiftRecord,
+    ParseError,
+    PsiMap,
+    RBInstance,
+    RuleKind,
+    approximate,
+    build_graph,
+)
+from rbdom.exact import WORK_UNITS_PER_SECOND, _masks
 
 logger = logging.getLogger(__name__)
 
@@ -308,6 +318,84 @@ def write_edge_list_reference(g):
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u in range(g.n) for v in g.neighbors(u) if u < v)
     return "\n".join(lines) + "\n"
+
+
+def _packing_lower_bound_reference(ball, ball_size, by_ball, dom):
+    """The per-vertex packing scan exact_min's size-class greedy replaced."""
+    used = count = work = 0
+    for v in by_ball:
+        if dom >> v & 1:
+            continue
+        work += ball_size[v]
+        if used & ball[v]:
+            continue
+        used |= ball[v]
+        count += 1
+    return count, work
+
+
+def exact_min_reference(inst, time_budget):
+    """exact_min's search as it was before size-class packing and early exit.
+
+    Scans every blue vertex in ball-size order for each packing bound and
+    keeps the path in a list. Returns (solution, proven_optimal, lower_bound).
+    """
+    best = sorted(approximate(inst, Approximator.GREEDY_COVER))
+    best_size = len(best)
+    if best_size == 0:
+        return set(), True, 0
+
+    left = max(10_000, int(time_budget * WORK_UNITS_PER_SECOND))
+
+    ball, blue = _masks(inst)
+    ball_size = (np.diff(inst.graph.indptr) + 1).tolist()
+    by_ball = sorted(np.flatnonzero(inst.blue).tolist(), key=ball_size.__getitem__)
+
+    root_lb, work = _packing_lower_bound_reference(ball, ball_size, by_ball, 0)
+    left -= work
+    if root_lb >= best_size:
+        return set(best), True, best_size
+    if left <= 0:
+        return set(best), False, root_lb
+
+    chosen = []
+    stack = [[0, 0, 0, ball[by_ball[0]]]]
+    truncated = False
+    while stack:
+        frame = stack[-1]
+        del chosen[len(stack) - 1 :]
+        scan, node_dom, banned, options = frame
+        if options == 0:
+            stack.pop()
+            continue
+        low = options & -options
+        u = low.bit_length() - 1
+        frame[2] = banned | low
+        frame[3] = options ^ low
+        left -= (ball[u] & ~node_dom).bit_count() + 1
+        chosen.append(u)
+        dom = node_dom | ball[u]
+
+        depth = len(chosen)
+        if blue & ~dom == 0:
+            if depth < best_size:
+                best = list(chosen)
+                best_size = depth
+        elif depth + 1 < best_size:
+            lb, work = _packing_lower_bound_reference(ball, ball_size, by_ball, dom)
+            left -= work
+            if left <= 0:
+                truncated = True
+                break
+            if depth + lb < best_size:
+                i = scan
+                while dom >> by_ball[i] & 1:
+                    i += 1
+                stack.append([i, dom, banned, ball[by_ball[i]] & ~banned])
+
+    if best_size <= root_lb or not truncated:
+        return set(best), True, best_size
+    return set(best), False, root_lb
 
 
 def random_edges(rng, n, p):

@@ -15,12 +15,13 @@ from rbdom import (
     exact_min,
     is_valid_solution,
 )
-from rbdom.generate import gen_gnp
+from rbdom.generate import gen_barabasi_albert, gen_gnp, gen_watts_strogatz
 
 from conftest import (
     coloured_instances,
     cycle_graph,
     domination_number,
+    exact_min_reference,
     milp_optimum,
     path_graph,
     random_graph,
@@ -159,3 +160,32 @@ def test_lower_bound_is_valid(rng):
         inst = all_blue(g)
         _, _, lb = exact_min(inst, 10.0)
         assert lb <= domination_number(g)
+
+
+def _same_as_reference(inst, budget):
+    sol, proven, lb = exact_min(inst, budget)
+    ref_sol, ref_proven, ref_lb = exact_min_reference(inst, budget)
+    assert (sorted(sol), proven, lb) == (sorted(ref_sol), ref_proven, ref_lb)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(coloured_instances(n_max=60), st.sampled_from([0.001, 0.04, 0.4]))
+def test_exact_search_matches_reference(inst, budget):
+    # same nodes, same work charged: identical results for every budget
+    _same_as_reference(inst, budget)
+
+
+def test_exact_search_matches_reference_on_truncated_searches():
+    # n 40-90 as on the benchmark's exact set, where most budgets run out
+    rng = np.random.default_rng(11)
+    for i in range(30):
+        n = int(rng.integers(40, 91))
+        deg = float(rng.uniform(2.0, 8.0))
+        if i % 3 == 0:
+            g = gen_gnp(n, deg, i)
+        elif i % 3 == 1:
+            g = gen_watts_strogatz(n, max(2, round(deg)), 0.3, i)
+        else:
+            g = gen_barabasi_albert(n, max(1, round(deg / 2)), i)
+        for budget in (0.001, 0.04, 0.4):
+            _same_as_reference(all_blue(g), budget)

@@ -170,3 +170,10 @@ def test_run_instance_deterministic(rng):
     a, _, _ = run_instance("g", g, time_limit=1.0)
     b, _, _ = run_instance("g", g, time_limit=1.0)
     assert a == b
+
+
+def test_run_instance_rejects_invalid_exact_solution(monkeypatch):
+    # an empty set leaves every vertex of P4 undominated
+    monkeypatch.setattr("rbdom.pipeline.exact_min", lambda inst, limit: (set(), True, 0))
+    with pytest.raises(InvariantError, match="p4: exact solution is not valid"):
+        run_instance("p4", path_graph(4), time_limit=1.0)
