@@ -40,7 +40,6 @@ from .pipeline import (
 )
 from .reduce import (
     LiftRecord,
-    PsiMap,
     ReductionTrace,
     RuleKind,
     lift,
@@ -61,7 +60,6 @@ __all__ = [
     "InvariantError",
     "LiftRecord",
     "ParseError",
-    "PsiMap",
     "RBInstance",
     "ReductionTrace",
     "RuleKind",

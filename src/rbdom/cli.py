@@ -24,14 +24,8 @@ from .io import load_graph, write_edge_list, write_report_csv
 from .pipeline import aggregate, run_exp_aa, run_exp_la, run_instance
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(1)
-
-
 def _build_parser():
-    parser = _Parser(prog="rbdom", description=__doc__)
+    parser = argparse.ArgumentParser(prog="rbdom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     approx_choices = [a.value for a in Approximator]
 

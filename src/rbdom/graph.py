@@ -91,9 +91,9 @@ def build_graph(n, edges):
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n >= 1 << 31:
         raise ValueError(f"vertex count {n} exceeds the supported 2^31 limit")
-    # keeps greedy cover's packed int64 priorities (degrees, covers) and the
-    # lossy rule's int64 image keys (neighbor-degree sums <= 2m) inside 31
-    # bits before the shift
+    # keeps the lossy rule's int64 image keys scd_nbr << 32 | v (scd_nbr <=
+    # 2m) from overflowing; greedy cover's priorities are at most n and fit
+    # under the vertex cap above
     edge_cap = 1 << 30
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:

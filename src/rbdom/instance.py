@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .graph import _neighbor_sums
+
 INFEASIBLE = math.inf
 
 
@@ -60,13 +62,9 @@ def _solution_array(inst, s):
 
 def dominated_mask(inst, s):
     """Boolean mask of vertices inside the closed neighborhood of s."""
-    g = inst.graph
-    covered = np.zeros(g.n, dtype=np.bool_)
-    arr = _solution_array(inst, s)
-    for v in arr:
-        covered[g.indices[g.indptr[v] : g.indptr[v + 1]]] = True
-    covered[arr] = True
-    return covered
+    taken = np.zeros(inst.graph.n, dtype=np.bool_)
+    taken[_solution_array(inst, s)] = True
+    return taken | (_neighbor_sums(inst.graph, taken) > 0)
 
 
 def is_valid_solution(inst, s):

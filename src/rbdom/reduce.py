@@ -14,6 +14,8 @@ its lifting step must union back into a solution:
   lifted solution is at most a factor two worse relative to the reduced
   optimum, and |X| never exceeds any valid solution of the reduced instance
   (the images' closed neighborhoods are pairwise disjoint and stay blue).
+  Its record carries psi as a plain dict x -> psi(x), in pick order, which
+  ``verify_psi`` checks with one neighbor count over the images.
 
 Rules never delete vertices or edges, so reduced instances share vertex ids
 with the original and lifting is plain set union, replayed newest-first.
@@ -37,21 +39,10 @@ class RuleKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PsiMap:
-    """The set X and injection psi produced by the lossy rule."""
-
-    images: dict  # x -> psi(x)
-
-    @property
-    def x_set(self):
-        return frozenset(self.images)
-
-
-@dataclass(frozen=True)
 class LiftRecord:
     kind: RuleKind
     add_set: frozenset
-    psi: PsiMap | None = None
+    psi: dict | None = None  # lossy rule only: x -> psi(x), in pick order
 
 
 @dataclass
@@ -189,47 +180,30 @@ def rr_lossy2(inst):
     inst.blue[:] = np.frombuffer(blue, np.bool_)
     if not images:
         return None
-    psi = PsiMap(images)
-    return LiftRecord(RuleKind.LOSSY2, psi.x_set, psi)
+    return LiftRecord(RuleKind.LOSSY2, frozenset(images), images)
 
 
-def verify_psi(inst_before, pm):
-    """Check a PsiMap against the instance state the lossy rule started from.
+def verify_psi(inst_before, psi):
+    """Check a pair map against the instance state the lossy rule started from.
 
-    True iff psi is injective into the then-blue vertices outside X, no
-    image touches the closed neighborhood of its own x or the open
-    neighborhood of any x, and image closed neighborhoods are pairwise
-    disjoint.
+    ``psi`` is the plain dict x -> psi(x). True iff the images are distinct,
+    were blue, and lie outside X, no image lies in any N(x), and the images'
+    closed neighborhoods are pairwise disjoint. The last three read one
+    neighbor count: how many image closed neighborhoods contain each vertex
+    (0 at every x, at most 1 everywhere).
     """
     g = inst_before.graph
-    images = pm.images
-    if not images:
-        return True
-    xs = list(images)
-    zs = list(images.values())
-
-    if len(set(zs)) != len(zs):
-        return False
-    x_flags = np.zeros(g.n, dtype=np.bool_)
-    x_flags[xs] = True
-    for z in zs:
-        if not inst_before.blue[z] or x_flags[z]:
-            return False
-
-    z_flags = np.zeros(g.n, dtype=np.bool_)
-    z_flags[zs] = True
-    for x in xs:
-        # own image outside N[x]; no image inside N(x)
-        if images[x] == x or z_flags[g.neighbors(x)].any():
-            return False
-
-    touched = np.zeros(g.n, dtype=np.bool_)
-    for z in zs:
-        ball = np.append(g.neighbors(z), z)
-        if touched[ball].any():
-            return False
-        touched[ball] = True
-    return True
+    xs = np.fromiter(psi, np.int64, len(psi))
+    zs = np.fromiter(psi.values(), np.int64, len(psi))
+    is_image = np.zeros(g.n, np.bool_)
+    is_image[zs] = True
+    balls = _neighbor_sums(g, is_image) + is_image
+    return bool(
+        np.count_nonzero(is_image) == zs.size
+        and inst_before.blue[zs].all()
+        and not balls[xs].any()
+        and (balls <= 1).all()
+    )
 
 
 def lift(trace, s_reduced):

@@ -17,7 +17,6 @@ from rbdom import (
     Approximator,
     LiftRecord,
     ParseError,
-    PsiMap,
     RBInstance,
     RuleKind,
     approximate,
@@ -256,6 +255,44 @@ def lossy_reference(g, blue):
     return xs, psi, blue
 
 
+def verify_psi_reference(inst_before, images):
+    """The per-vertex pair-map checker verify_psi replaced; images is x -> psi(x).
+
+    True iff psi is injective into the then-blue vertices outside X, no
+    image touches the closed neighborhood of its own x or the open
+    neighborhood of any x, and image closed neighborhoods are pairwise
+    disjoint.
+    """
+    g = inst_before.graph
+    if not images:
+        return True
+    xs = list(images)
+    zs = list(images.values())
+
+    if len(set(zs)) != len(zs):
+        return False
+    x_flags = np.zeros(g.n, dtype=np.bool_)
+    x_flags[xs] = True
+    for z in zs:
+        if not inst_before.blue[z] or x_flags[z]:
+            return False
+
+    z_flags = np.zeros(g.n, dtype=np.bool_)
+    z_flags[zs] = True
+    for x in xs:
+        # own image outside N[x]; no image inside N(x)
+        if images[x] == x or z_flags[g.neighbors(x)].any():
+            return False
+
+    touched = np.zeros(g.n, dtype=np.bool_)
+    for z in zs:
+        ball = np.append(g.neighbors(z), z)
+        if touched[ball].any():
+            return False
+        touched[ball] = True
+    return True
+
+
 def greedy_cover_reference(g, blue, rank=None):
     """Set-based greedy cover; returns picks in order.
 
@@ -451,7 +488,7 @@ def neighbour_image_lossy(monkeypatch):
     """
 
     def rule(inst):
-        return LiftRecord(RuleKind.LOSSY2, frozenset({0}), PsiMap({0: 1}))
+        return LiftRecord(RuleKind.LOSSY2, frozenset({0}), {0: 1})
 
     monkeypatch.setattr("rbdom.pipeline.rr_lossy2", rule)
 

@@ -93,6 +93,18 @@ def test_unknown_subcommand_exits_1(capsys):
     assert cli_main(["frobnicate"]) == 1
 
 
+def test_missing_required_flag_says_which(capsys):
+    assert cli_main(["solve", "--mode", "la"]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "the following arguments are required: --input" in err
+
+
+def test_invalid_choice_says_which(graph_file, capsys):
+    assert cli_main(["solve", "--input", str(graph_file), "--mode", "bogus"]) == 1
+    assert "argument --mode: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_1(graph_file):
     assert cli_main(["solve", "--input", str(graph_file), "--mode", "aa", "--bogus"]) == 1
 

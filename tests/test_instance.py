@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbdom import (
     INFEASIBLE,
@@ -10,7 +12,7 @@ from rbdom import (
     is_valid_solution,
 )
 
-from conftest import path_graph, cycle_graph, random_graph
+from conftest import closed_sets, coloured_instances, cycle_graph, path_graph, random_graph
 
 
 def test_all_blue():
@@ -75,3 +77,12 @@ def test_recoloring_preserves_validity(rng):
 def test_color_vector_length_checked():
     with pytest.raises(ValueError):
         RBInstance(path_graph(3), np.ones(2, dtype=bool))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(coloured_instances(n_max=40), st.data())
+def test_validity_matches_closed_neighbourhood_sets(inst, data):
+    s = data.draw(st.sets(st.integers(0, inst.graph.n - 1)))
+    closed = closed_sets(inst.graph)
+    covered = set().union(*(closed[v] for v in s))
+    assert is_valid_solution(inst, s) == (set(inst.blue_vertices().tolist()) <= covered)

@@ -1,8 +1,8 @@
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbdom import (
-    PsiMap,
     RBInstance,
     ReductionTrace,
     RuleKind,
@@ -28,6 +28,7 @@ from conftest import (
     random_graph,
     scd_nbr_reference,
     star_graph,
+    verify_psi_reference,
 )
 
 
@@ -94,7 +95,7 @@ def test_lossy_c4():
     inst = all_blue(cycle_graph(4))
     rec = rr_lossy2(inst)
     assert sorted(rec.add_set) == [0]
-    assert rec.psi.images == {0: 2}
+    assert rec.psi == {0: 2}
     assert verify_psi(all_blue(cycle_graph(4)), rec.psi)
 
 
@@ -102,7 +103,7 @@ def test_lossy_p7():
     inst = all_blue(path_graph(7))
     rec = rr_lossy2(inst)
     assert sorted(rec.add_set) == [1]
-    assert rec.psi.images == {1: 6}
+    assert rec.psi == {1: 6}
     assert set(inst.blue_vertices().tolist()) == {3, 4, 5, 6}
     assert verify_psi(all_blue(path_graph(7)), rec.psi)
 
@@ -123,8 +124,8 @@ def test_lossy_matches_reference(rng):
             assert xs == []
             continue
         assert sorted(rec.add_set) == sorted(xs)
-        assert list(rec.psi.images) == xs
-        assert rec.psi.images == psi
+        assert list(rec.psi) == xs
+        assert rec.psi == psi
         assert set(inst.blue_vertices().tolist()) == blue
         assert verify_psi(before, rec.psi)
 
@@ -143,8 +144,8 @@ def test_lossy_after_pendant_pipeline(rng):
         if rec is None:
             assert xs == []
         else:
-            assert list(rec.psi.images) == xs
-            assert rec.psi.images == psi
+            assert list(rec.psi) == xs
+            assert rec.psi == psi
             assert set(inst.blue_vertices().tolist()) == blue
             assert verify_psi(before, rec.psi)
 
@@ -159,9 +160,9 @@ def test_lossy_matches_reference_on_coloured_instances(inst):
     if rec is None:
         assert xs == []
         return
-    assert list(rec.psi.images) == xs
-    assert rec.psi.images == psi
-    assert all(type(x) is int and type(z) is int for x, z in rec.psi.images.items())
+    assert list(rec.psi) == xs
+    assert rec.psi == psi
+    assert all(type(x) is int and type(z) is int for x, z in rec.psi.items())
     assert all(type(x) is int for x in rec.add_set)
 
 
@@ -177,29 +178,46 @@ def test_scd_nbr(rng):
 
 
 def test_verify_psi_empty():
-    assert verify_psi(all_blue(path_graph(3)), PsiMap({}))
+    assert verify_psi(all_blue(path_graph(3)), {})
 
 
 def test_verify_psi_rejects_neighbor_image():
     inst = all_blue(path_graph(3))
-    assert not verify_psi(inst, PsiMap({0: 1}))  # image adjacent to x
-    assert not verify_psi(inst, PsiMap({0: 0}))  # image equal to x
-    assert verify_psi(inst, PsiMap({0: 2}))
+    assert not verify_psi(inst, {0: 1})  # image adjacent to x
+    assert not verify_psi(inst, {0: 0})  # image equal to x
+    assert verify_psi(inst, {0: 2})
 
 
 def test_verify_psi_rejects_overlapping_image_balls():
     g = path_graph(5)
     # images 2 and 3 are adjacent: closed neighborhoods overlap
-    assert not verify_psi(all_blue(g), PsiMap({0: 2, 4: 3}))
+    assert not verify_psi(all_blue(g), {0: 2, 4: 3})
 
 
 def test_verify_psi_rejects_red_or_x_images():
     g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
     inst = all_blue(g)
     inst.blue[3] = False
-    assert not verify_psi(inst, PsiMap({0: 3}))  # image not blue
-    assert not verify_psi(inst, PsiMap({0: 2, 2: 4}))  # image inside X
-    assert not verify_psi(inst, PsiMap({0: 4, 2: 4}))  # not injective
+    assert not verify_psi(inst, {0: 3})  # image not blue
+    assert not verify_psi(inst, {0: 2, 2: 4})  # image inside X
+    assert not verify_psi(inst, {0: 4, 2: 4})  # not injective
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(coloured_instances(n_max=40), st.data())
+def test_verify_psi_matches_reference(inst, data):
+    # arbitrary maps (distinct xs, any zs), mostly invalid; then the rule's
+    # own map, valid, and that map with one drawn pair added or replaced
+    ids = st.integers(0, inst.graph.n - 1)
+    xs = data.draw(st.lists(ids, unique=True, max_size=inst.graph.n))
+    zs = data.draw(st.lists(ids, min_size=len(xs), max_size=len(xs)))
+    psi = dict(zip(xs, zs))
+    assert verify_psi(inst, psi) == verify_psi_reference(inst, psi)
+    before = inst.copy()
+    rec = rr_lossy2(inst)
+    if rec is not None:
+        for psi in (rec.psi, {**rec.psi, data.draw(ids): data.draw(ids)}):
+            assert verify_psi(before, psi) == verify_psi_reference(before, psi)
 
 
 def test_lift_identity_and_union():
@@ -240,5 +258,5 @@ def test_images_stay_blue_after_lossy(inst):
     if rec is None:
         return
     blue_after = set(inst.blue_vertices().tolist())
-    assert set(rec.psi.images.values()) <= blue_after
+    assert set(rec.psi.values()) <= blue_after
     assert verify_psi(before, rec.psi)
