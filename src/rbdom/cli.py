@@ -116,7 +116,7 @@ def _graph_files(directory):
 
 def _cmd_exp(args):
     files = _graph_files(args.dir)
-    category = args.category or Path(args.dir).name
+    category = args.category or Path(args.dir).resolve().name
     reports = []
     total_aa = total_la = 0.0
     for path in files:

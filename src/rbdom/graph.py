@@ -91,10 +91,9 @@ def build_graph(n, edges):
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n >= 1 << 31:
         raise ValueError(f"vertex count {n} exceeds the supported 2^31 limit")
-    # keeps the lossy rule's int64 image keys scd_nbr << 32 | v (scd_nbr <=
-    # 2m) from overflowing; greedy cover's priorities are at most n and fit
-    # under the vertex cap above
-    edge_cap = 1 << 30
+    # the vertex cap keeps the packed int64 keys key << 32 | id of the lossy
+    # rule's x queue and greedy cover (keys at most n) and the lo * n + hi
+    # edge keys below from overflowing
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
@@ -123,8 +122,6 @@ def build_graph(n, edges):
         key = key[np.concatenate(([True], ~repeat))]
     del loops, repeat
     m = key.size
-    if m >= edge_cap:
-        raise ValueError(f"edge count {m} exceeds the supported 2^30 limit")
 
     # both orientations as src * n + dst; one sort orders the rows and,
     # within each row, the neighbors
@@ -152,9 +149,11 @@ def closed_neighborhood(g, v):
 
 def _neighbor_sums(g, values):
     """Per-vertex sum of ``values[u]`` over the neighbors u, as int64."""
-    # prefix sums over the adjacency list, differenced at the row bounds
+    # prefix sums over the adjacency list, differenced at the row bounds; the
+    # in-range gather fills the sum buffer directly (mode="raise" would copy)
     csum = np.zeros(g.indices.shape[0] + 1, np.int64)
-    np.cumsum(values[g.indices], out=csum[1:])
+    np.take(values.astype(np.int64, copy=False), g.indices, out=csum[1:], mode="clip")
+    np.cumsum(csum[1:], out=csum[1:])
     return csum[g.indptr[1:]] - csum[g.indptr[:-1]]
 
 

@@ -105,11 +105,12 @@ def rr_lossy2(inst):
     eligible image is dropped from the pool and the scan goes on. The psi
     map lists the pairs in pick order.
 
-    Both queues are ``heapq`` lists of Python ints packed ``key << 32 | v``,
-    so ties break on the lowest id. Blue-degrees only fall, so the x heap
-    holds one entry per pool vertex and re-keys a stale top when it reaches
-    it (lazy greedy); its pick is the same as with an exact queue. Image keys
-    never change.
+    The x queue is a ``heapq`` list of Python ints packed
+    ``-blue_deg << 32 | v``, so ties break on the lowest id. Blue-degrees
+    only fall, so it holds one entry per pool vertex and re-keys a stale top
+    when it reaches it (lazy greedy); its pick is the same as with an exact
+    queue. Image keys never change, so the images come off one list sorted
+    once, best last; tops set aside inside N[x] go back in their order.
     """
     g = inst.graph
     indices = g.indices
@@ -117,9 +118,8 @@ def rr_lossy2(inst):
     pool = np.flatnonzero(inst.blue)
     deg = _neighbor_sums(g, inst.blue)
     xheap = ((-deg[pool] << 32) | pool).tolist()
-    iheap = ((scd_nbr(g)[pool] << 32) | pool).tolist()
     heapq.heapify(xheap)
-    heapq.heapify(iheap)
+    stack = pool[np.argsort(scd_nbr(g)[pool], kind="stable")[::-1]].tolist()
     blue_deg = deg.tolist()
     blue = bytearray(inst.blue.tobytes())
     in_pool = bytearray(blue)
@@ -143,17 +143,16 @@ def rr_lossy2(inst):
         closed_x.add(x)
         z = -1
         aside = []
-        while iheap:
-            c = iheap[0] & _ID_MASK
+        while stack:
+            c = stack[-1]
             if not blue[c] or blocked[c]:
-                heapq.heappop(iheap)  # dead for good; drop the entry
+                stack.pop()  # dead for good; drop the entry
             elif c in closed_x:
-                aside.append(heapq.heappop(iheap))  # keep for other x's
+                aside.append(stack.pop())  # keep for other x's
             else:
                 z = c
                 break
-        for cand_item in aside:
-            heapq.heappush(iheap, cand_item)
+        stack.extend(reversed(aside))
         if z == -1:
             continue
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from rbdom import (
@@ -25,6 +26,11 @@ from rbdom import (
 from rbdom.exact import WORK_UNITS_PER_SECOND, _masks
 
 logger = logging.getLogger(__name__)
+
+# every property runs the same seeded examples on every run and has no time
+# limit per example; each test sets only its own max_examples
+settings.register_profile("rbdom", derandomize=True, deadline=None)
+settings.load_profile("rbdom")
 
 
 def adj_sets(g):

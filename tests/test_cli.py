@@ -143,6 +143,17 @@ def test_exp_directory(tmp_path, capsys):
     assert lines[4].startswith("# cases,3,")
 
 
+def test_exp_current_directory_names_category(tmp_path, monkeypatch, capsys):
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    (cases / "p7.el").write_text(write_edge_list(path_graph(7)))
+    csv = tmp_path / "out.csv"
+    monkeypatch.chdir(cases)
+    assert cli_main(["exp", "--dir", ".", "--csv", str(csv), "--no-exact"]) == 0
+    assert csv.read_text().splitlines()[-1].startswith("# cases,1,")
+    assert "cases: 1 instances" in capsys.readouterr().out
+
+
 def test_exp_bit_identical_reruns(tmp_path):
     cases = tmp_path / "cases"
     cases.mkdir()

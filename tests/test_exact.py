@@ -99,19 +99,19 @@ def _check_against_brute_force(inst):
     assert is_valid_solution(inst, sol)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(small_instances(12, all_blue_only=True))
 def test_exact_agrees_with_brute_force(inst):
     _check_against_brute_force(inst)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(small_instances(12, all_blue_only=False))
 def test_exact_partial_blue(inst):
     _check_against_brute_force(inst)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(coloured_instances(n_max=60), st.sampled_from([0.04, 1.0]))
 def test_exact_brackets_milp_optimum(inst, budget):
     opt = milp_optimum(inst)
@@ -168,7 +168,7 @@ def _same_as_reference(inst, budget):
     assert (sorted(sol), proven, lb) == (sorted(ref_sol), ref_proven, ref_lb)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(coloured_instances(n_max=60), st.sampled_from([0.001, 0.04, 0.4]))
 def test_exact_search_matches_reference(inst, budget):
     # same nodes, same work charged: identical results for every budget

@@ -87,7 +87,7 @@ def edge_arrays(draw):
     return n, draw(st.lists(st.tuples(vertex, vertex), max_size=90))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(edge_arrays())
 @example((0, []))
 @example((1, []))

@@ -79,7 +79,7 @@ def test_color_vector_length_checked():
         RBInstance(path_graph(3), np.ones(2, dtype=bool))
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(coloured_instances(n_max=40), st.data())
 def test_validity_matches_closed_neighbourhood_sets(inst, data):
     s = data.draw(st.sets(st.integers(0, inst.graph.n - 1)))

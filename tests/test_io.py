@@ -214,7 +214,7 @@ def _outcome(parse, text):
     return result, handler.messages
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
+@settings(max_examples=1000)
 @given(edge_list_texts())
 @example("3 1\n0\r1\n")
 @example("12345678901234567890 0\n")

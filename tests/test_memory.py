@@ -1,10 +1,11 @@
-"""Peak memory of graph construction, relative to the CSR it produces.
+"""Peak memory of graph construction and neighbor sums, relative to the CSR.
 
 Each bound divides a call's tracemalloc peak by the bytes of the CSR arrays
 of ``gen_gnp(20_000, 20.0, 1)`` (``indptr.nbytes + indices.nbytes``, 3.2
 MiB). The whole-array forms these layers replaced peaked at 8.2 (gen_gnp),
 3.6 (build_graph), 5.8 (parse_edge_list) and 3.0 (write_edge_list) times the
-CSR; the ratios hold steady from n = 5,000 to n = 50,000.
+CSR; the ratios hold steady from n = 5,000 to n = 50,000. A neighbor sum
+that gathered into a temporary before its prefix sum peaked at 2.0.
 """
 
 import tracemalloc
@@ -12,6 +13,9 @@ import tracemalloc
 import pytest
 
 from rbdom import build_graph, gen_gnp, parse_edge_list, write_edge_list
+from rbdom.reduce import scd_nbr
+
+from conftest import scd_nbr_reference
 
 N, AVG_DEG, SEED = 20_000, 20.0, 1
 
@@ -65,3 +69,10 @@ def test_write_edge_list_peak(headline):
     text, peak = traced_peak(write_edge_list, g)
     assert parse_edge_list(text) == g
     assert peak / csr <= 2.0
+
+
+def test_neighbor_sums_peak(headline):
+    g, csr = headline
+    sums, peak = traced_peak(scd_nbr, g)
+    assert sums.tolist() == scd_nbr_reference(g)
+    assert peak / csr <= 1.25

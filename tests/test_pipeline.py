@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from rbdom import (
     Approximator,
@@ -19,7 +20,15 @@ from rbdom import (
 )
 from rbdom.pipeline import RunReport, reduce_instance
 
-from conftest import cycle_graph, domination_number, path_graph, random_graph, star_graph
+from conftest import (
+    coloured_instances,
+    cycle_graph,
+    domination_number,
+    milp_optimum,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 def test_exp_star():
@@ -152,6 +161,27 @@ def test_la_factor_two_bound_on_exact_instances(rng):
             assert lhs <= 1
         else:
             assert lhs <= 2 * Fraction(len(s_red), opt_red)
+
+
+@settings(max_examples=150)
+@given(coloured_instances(n_max=40))
+def test_lossless_rules_keep_milp_optimum(inst):
+    opt = milp_optimum(inst)
+    trace = reduce_instance(inst, lossy=False)
+    added = sum(len(rec.add_set) for rec in trace.records)
+    assert milp_optimum(inst) + added == opt
+
+
+@settings(max_examples=150)
+@given(coloured_instances(n_max=40))
+def test_lossy_rule_bounds_against_milp_optimum(inst):
+    # |X| never exceeds the reduced optimum, so lifting at most doubles OPT
+    opt = milp_optimum(inst)
+    trace = reduce_instance(inst, lossy=True)
+    opt_red = milp_optimum(inst)
+    assert all(len(rec.add_set) <= opt_red for rec in trace.records if rec.psi is not None)
+    added = sum(len(rec.add_set) for rec in trace.records)
+    assert opt_red + added <= 2 * opt
 
 
 def test_run_instance_report_invariant(rng):

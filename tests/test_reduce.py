@@ -150,7 +150,7 @@ def test_lossy_after_pendant_pipeline(rng):
             assert verify_psi(before, rec.psi)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(coloured_instances(n_max=40))
 def test_lossy_matches_reference_on_coloured_instances(inst):
     xs, psi, blue = lossy_reference(inst.graph, inst.blue_vertices().tolist())
@@ -203,7 +203,7 @@ def test_verify_psi_rejects_red_or_x_images():
     assert not verify_psi(inst, {0: 4, 2: 4})  # not injective
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(coloured_instances(n_max=40), st.data())
 def test_verify_psi_matches_reference(inst, data):
     # arbitrary maps (distinct xs, any zs), mostly invalid; then the rule's
@@ -228,7 +228,7 @@ def test_lift_identity_and_union():
     assert lift(ReductionTrace([rec]), set()) == {1}
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(coloured_instances(n_max=40))
 def test_lift_validity_on_random_instances(inst):
     original = inst.copy()
@@ -240,7 +240,7 @@ def test_lift_validity_on_random_instances(inst):
         assert is_valid_solution(original, lift(trace, s_reduced))
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(coloured_instances(n_max=40))
 def test_rules_only_recolor_blue_to_red(inst):
     for rule in (rr_isolated, rr_pendant_exhaustive, rr_lossy2):
@@ -249,7 +249,7 @@ def test_rules_only_recolor_blue_to_red(inst):
         assert not (inst.blue & ~before).any()
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(coloured_instances(n_max=40))
 def test_images_stay_blue_after_lossy(inst):
     # the image set is a certified packing inside the reduced blue set
