@@ -99,20 +99,19 @@ def gen_gnm(n, avg_deg, seed):
     if m < 0 or m > total:
         raise ValueError(f"edge count {m} outside [0, {total}] for n={n}")
     rng = np.random.default_rng(seed)
-    chosen = set()
-    while len(chosen) < m:
-        k = max(64, int((m - len(chosen)) * 1.3))
-        us = rng.integers(0, n, size=k).tolist()
-        vs = rng.integers(0, n, size=k).tolist()
-        for u, v in zip(us, vs):
-            if u == v:
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e not in chosen:
-                chosen.add(e)
-                if len(chosen) == m:
-                    break
-    return build_graph(n, sorted(chosen))
+    # accepted edges as lo * n + hi keys, in the order they were first drawn
+    chosen = np.empty(0, np.int64)
+    while chosen.size < m:
+        k = max(64, int((m - chosen.size) * 1.3))
+        us = rng.integers(0, n, size=k)
+        vs = rng.integers(0, n, size=k)
+        keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+        keys = keys[us != vs]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+        keys = keys[~np.isin(keys, chosen)]
+        chosen = np.concatenate((chosen, keys[: m - chosen.size]))
+    return build_graph(n, np.column_stack(np.divmod(chosen, n)))
 
 
 def gen_watts_strogatz(n, d, p, seed):

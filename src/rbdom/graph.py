@@ -167,27 +167,27 @@ def degeneracy_order(g):
     non-decreasing, which keeps the bucket fronts ahead of processed
     vertices.
     """
-    indptr, indices = g.indptr, g.indices
-    deg = np.diff(indptr)
+    indices = g.indices
+    deg = np.diff(g.indptr)
     # vert lists the vertices by degree, ids ascending within a degree;
-    # bin_start[d] is where degree d starts in vert, pos inverts vert
+    # bin_start[d] is where degree d starts in vert, pos inverts vert. The
+    # loop peels vert in place, so it ends as the removal order.
     vert = np.argsort(deg, kind="stable")
     pos = np.empty(g.n, np.int64)
     pos[vert] = np.arange(g.n)
     count = np.bincount(deg)
-    bin_start = np.cumsum(count) - count
+    bin_start = (np.cumsum(count) - count).tolist()
+    indptr, deg, vert, pos = g.indptr.tolist(), deg.tolist(), vert.tolist(), pos.tolist()
 
-    order = np.empty(g.n, np.int64)
     d_out = 0
     for i in range(g.n):
         v = vert[i]
-        if deg[v] > d_out:
-            d_out = deg[v]
-        order[i] = v
-        for idx in range(indptr[v], indptr[v + 1]):
-            u = indices[idx]
-            if deg[u] > deg[v]:
-                du = deg[u]
+        dv = deg[v]
+        if dv > d_out:
+            d_out = dv
+        for u in indices[indptr[v] : indptr[v + 1]].tolist():
+            du = deg[u]
+            if du > dv:
                 pu = pos[u]
                 pw = bin_start[du]
                 w = vert[pw]
@@ -196,9 +196,9 @@ def degeneracy_order(g):
                     vert[pw] = u
                     pos[u] = pw
                     pos[w] = pu
-                bin_start[du] += 1
-                deg[u] -= 1
-    return order, int(d_out)
+                bin_start[du] = pw + 1
+                deg[u] = du - 1
+    return np.array(vert, np.int64), d_out
 
 
 def avg_degree(g):

@@ -118,16 +118,27 @@ def _scan_edge_list(text):
     return n, edges
 
 
-# adjacency entries, about twice the edges, formatted per string operation
-# by write_edge_list
+# adjacency entries, about twice the edges, formatted per block by
+# write_edge_list
 _WRITE_CHUNK = 8192
 
 
 def write_edge_list(g):
-    """Serialize a Graph to the edge list format."""
+    """Serialize a Graph to the edge list format.
+
+    Each id's ASCII digits are formatted once into a NUL-padded label table;
+    a block of edges gathers its endpoints' labels, appends the separators
+    and drops the NUL bytes.
+    """
     out = [f"{g.n} {g.m}\n"]
+    width = len(str(max(g.n - 1, 0)))
+    labels = np.arange(g.n).astype(f"S{width}").view(np.uint8).reshape(g.n, width)
     for pairs in _edge_blocks(g, _WRITE_CHUNK):
-        out.append("%d %d\n" * pairs.shape[0] % tuple(pairs.ravel().tolist()))
+        buf = np.empty((pairs.shape[0], 2, width + 1), np.uint8)
+        buf[:, :, :width] = np.take(labels, pairs, axis=0)
+        buf[:, 0, width] = ord(" ")
+        buf[:, 1, width] = ord("\n")
+        out.append(buf[buf != 0].tobytes().decode("ascii"))
     return "".join(out)
 
 

@@ -223,6 +223,17 @@ GENERATOR_GOLDEN = {
             "27cf89c39b2aea3b43c4522cfdfe5de8cb501239b5a94387ff8149162ecc9aeb",
             "8012ad150fb8c75e2979ee4c5f8e7b9957c6e5efc6dd43469e71d185eac3d825",
         ),
+        # every pair, so many batches each accept a few new edges
+        (30, 29.0, 2): (
+            435,
+            "8dc23e2bd79e7e530c80b23fbf474bed5632d0896e63345e5951a6150874740c",
+            "b26a5eb765ce4b063d079a442656916765e66f6ce877101096a0b0a330d37aba",
+        ),
+        (2000, 12.0, 5): (
+            12000,
+            "642ea7063f4f76784fe19de6cbd4ef181053622c0ab74a4d91f34e8a50973378",
+            "eea7cbf7192bdc72ff6b969a8521848ac2a09a7b8ca7acf65c791525dfc21a46",
+        ),
     },
     gen_watts_strogatz: {
         (10, 4, 0.0, 1): (

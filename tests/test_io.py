@@ -81,6 +81,16 @@ def test_write_edge_list_bytes():
     assert write_edge_list(g) == write_edge_list_reference(g)
 
 
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
+def test_write_edge_list_digit_widths(n):
+    # ids on both sides of each digit-count step, under and at the widest label
+    ids = sorted({0, n - 1} | {10**k for k in range(4) if 10**k < n})
+    edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+    edges += [(v - 1, v) for v in ids if v > 0]
+    g = build_graph(n, edges)
+    assert write_edge_list(g) == write_edge_list_reference(g)
+
+
 def test_write_edge_list_in_small_chunks(rng):
     graphs = [random_graph(rng, n_max=30) for _ in range(10)] + [build_graph(4, [])]
     for chunk in (1, 2, 3, 5, 8):
