@@ -10,13 +10,49 @@ import enum
 
 import numpy as np
 
-from .graph import _neighbor_sums, degeneracy_order
-from .kernels import _ID_MASK, _PRI_CAP, _heap_pop, _heap_push
+from .graph import _ID_MASK, _neighbor_sums, degeneracy_order
 
 
 class Approximator(enum.Enum):
     GREEDY_COVER = "greedy"
     DEGENERACY_GUIDED = "degeneracy"
+
+
+def _heap_push(heap, size, item):
+    """Push ``item`` onto the min-heap stored in ``heap[:size]``."""
+    heap[size] = item
+    i = size
+    while i > 0:
+        parent = (i - 1) >> 1
+        if heap[parent] <= heap[i]:
+            break
+        tmp = heap[parent]
+        heap[parent] = heap[i]
+        heap[i] = tmp
+        i = parent
+    return size + 1
+
+
+def _heap_pop(heap, size):
+    """Pop the minimum item; returns (item, new_size)."""
+    top = heap[0]
+    size -= 1
+    heap[0] = heap[size]
+    i = 0
+    while True:
+        child = 2 * i + 1
+        if child >= size:
+            break
+        right = child + 1
+        if right < size and heap[right] < heap[child]:
+            child = right
+        if heap[i] <= heap[child]:
+            break
+        tmp = heap[i]
+        heap[i] = heap[child]
+        heap[child] = tmp
+        i = child
+    return top, size
 
 
 def _greedy_picks(g, blue, tie, untie):
@@ -26,6 +62,10 @@ def _greedy_picks(g, blue, tie, untie):
     permutation; identity arrays give lowest-id tie-breaking, a degeneracy
     ranking gives the degeneracy-guided variant. ``blue`` is mutated in
     place. Returns the chosen vertices in pick order.
+
+    The queue is a binary min-heap on a preallocated int64 array keyed
+    ``(-cover << 32) | tie``. Stale entries stay in it; a popped entry counts
+    only if its cover still matches (lazy deletion).
     """
     indptr, indices = g.indptr, g.indices
     picks = []
@@ -34,14 +74,13 @@ def _greedy_picks(g, blue, tie, untie):
 
     heap = np.empty(2 * g.n + indices.shape[0] + 2, np.int64)
     size = 0
-    cap = _PRI_CAP
     for v in np.flatnonzero(cover).tolist():
-        size = _heap_push(heap, size, ((cap - cover[v]) << 32) | tie[v])
+        size = _heap_push(heap, size, (-cover[v] << 32) | tie[v])
 
     while nblue > 0:
         item, size = _heap_pop(heap, size)
         v = untie[item & _ID_MASK]
-        if cover[v] != cap - (item >> 32) or cover[v] == 0:
+        if cover[v] != -(item >> 32):
             continue
         picks.append(int(v))
         for off in range(-1, indptr[v + 1] - indptr[v]):
@@ -53,9 +92,7 @@ def _greedy_picks(g, blue, tie, untie):
                     t = w if woff == -1 else indices[indptr[w] + woff]
                     cover[t] -= 1
                     if cover[t] > 0:
-                        size = _heap_push(
-                            heap, size, ((cap - cover[t]) << 32) | tie[t]
-                        )
+                        size = _heap_push(heap, size, (-cover[t] << 32) | tie[t])
     return picks
 
 

@@ -44,7 +44,6 @@ def _build_parser():
     p.add_argument("--mode", required=True, choices=["aa", "la", "exact", "greedy"])
     p.add_argument("--approx", choices=approx_choices, default="greedy")
     p.add_argument("--time-limit", type=float, default=30.0)
-    p.add_argument("--strict-density", action="store_true")
 
     p = sub.add_parser("exp", help="run both pipelines over a directory of graphs")
     p.add_argument("--dir", required=True)
@@ -53,11 +52,9 @@ def _build_parser():
     p.add_argument("--time-limit", type=float, default=30.0)
     p.add_argument("--category", default=None)
     p.add_argument("--no-exact", action="store_true")
-    p.add_argument("--strict-density", action="store_true")
 
     p = sub.add_parser("verify", help="run the invariant suite on a graph")
     p.add_argument("--input", required=True)
-    p.add_argument("--strict-density", action="store_true")
     return parser
 
 
@@ -89,7 +86,7 @@ def _print_solution(label, sol):
 
 
 def _cmd_solve(args):
-    g = load_graph(args.input, args.strict_density)
+    g = load_graph(args.input)
     approx = Approximator(args.approx)
     if args.mode == "aa":
         _print_solution("AA", run_exp_aa(g, approx))
@@ -120,7 +117,7 @@ def _cmd_exp(args):
     reports = []
     total_aa = total_la = 0.0
     for path in files:
-        g = load_graph(path, args.strict_density)
+        g = load_graph(path)
         report, aa_s, la_s = run_instance(
             path.stem,
             g,
@@ -149,7 +146,7 @@ def _cmd_exp(args):
 
 
 def _cmd_verify(args):
-    g = load_graph(args.input, args.strict_density)
+    g = load_graph(args.input)
     check_graph_invariants(g)
     run_instance(Path(args.input).stem, g, with_exact=False)
     print(f"ok: n={g.n} m={g.m} invariants hold")

@@ -182,7 +182,7 @@ def _pairing_attempt(n, d, rng):
         if leftover and not progress:
             return None  # stuck; caller restarts with fresh randomness
         stubs = np.asarray(leftover, dtype=np.int64)
-    return sorted(edges)
+    return list(edges)
 
 
 def gen_barabasi_albert(n, attach, seed):

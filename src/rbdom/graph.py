@@ -81,6 +81,12 @@ def _edge_blocks(g, step):
         yield np.column_stack((src[upper], dst[upper]))
 
 
+# Greedy cover and the lossy rule's x queue key their heaps (-count << 32) | id
+# in one int64: larger counts first, ties to the lower id (greedy cover may put
+# a tie rank there instead). The low 32 bits give the id back.
+_ID_MASK = (1 << 32) - 1
+
+
 def build_graph(n, edges):
     """Build a Graph from an edge list, dropping self-loops and duplicates.
 
@@ -91,9 +97,8 @@ def build_graph(n, edges):
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n >= 1 << 31:
         raise ValueError(f"vertex count {n} exceeds the supported 2^31 limit")
-    # the vertex cap keeps the packed int64 keys key << 32 | id of the lossy
-    # rule's x queue and greedy cover (keys at most n) and the lo * n + hi
-    # edge keys below from overflowing
+    # the vertex cap keeps the packed heap keys (counts at most n, ids below
+    # 2^31; see _ID_MASK) and the lo * n + hi edge keys below from overflowing
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)

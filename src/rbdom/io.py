@@ -142,13 +142,12 @@ def write_edge_list(g):
     return "".join(out)
 
 
-def parse_matrix_market(text, strict_density=False):
+def parse_matrix_market(text):
     """Parse a symmetric Matrix Market coordinate matrix as a graph.
 
     Rejects non-symmetric and non-coordinate headers and non-square sizes.
     When nnz exceeds ``DENSITY_LIMIT`` times the row count the matrix is
-    outside the sparse regime this pipeline targets: a warning is logged, or
-    a ValueError raised when ``strict_density`` is set.
+    outside the sparse regime this pipeline targets, and a warning is logged.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith(_MM_BANNER):
@@ -201,22 +200,21 @@ def parse_matrix_market(text, strict_density=False):
     if entries_seen != nnz:
         raise ParseError(f"size line promised {nnz} entries, found {entries_seen}")
     if nnz > DENSITY_LIMIT * rows:
-        msg = (
-            f"matrix has {nnz} nonzeros > {DENSITY_LIMIT} x {rows} rows; "
-            "outside the sparse regime"
+        logger.warning(
+            "matrix has %d nonzeros > %s x %d rows; outside the sparse regime",
+            nnz,
+            DENSITY_LIMIT,
+            rows,
         )
-        if strict_density:
-            raise ValueError(msg)
-        logger.warning("%s", msg)
     return build_graph(rows, edges)
 
 
-def load_graph(path, strict_density=False):
+def load_graph(path):
     """Read a graph file: Matrix Market if it opens with the banner, else an edge list."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.startswith(_MM_BANNER):
-        return parse_matrix_market(text, strict_density=strict_density)
+        return parse_matrix_market(text)
     return parse_edge_list(text)
 
 

@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import _neighbor_sums
-
-_ID_MASK = (1 << 32) - 1
+from .graph import _ID_MASK, _neighbor_sums
 
 
 class RuleKind(enum.Enum):

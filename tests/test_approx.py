@@ -10,7 +10,8 @@ from rbdom import (
     degeneracy_order,
     is_valid_solution,
 )
-from rbdom.approx import _greedy_picks
+from rbdom.approx import _greedy_picks, _heap_pop, _heap_push
+from rbdom.generate import gen_barabasi_albert, gen_gnp, gen_watts_strogatz
 from rbdom.pipeline import reduce_instance
 
 from conftest import cycle_graph, domination_number, greedy_cover_reference, random_graph, star_graph
@@ -33,27 +34,57 @@ def test_c6_matches_optimum():
     assert len(sol) == 2 == domination_number(g)
 
 
+def test_heap_sorts(rng):
+    values = rng.integers(0, 1 << 40, size=200)
+    heap = np.empty(values.size, dtype=np.int64)
+    size = 0
+    for v in values:
+        size = _heap_push(heap, size, int(v))
+    popped = []
+    while size:
+        item, size = _heap_pop(heap, size)
+        popped.append(item)
+    assert popped == sorted(int(v) for v in values)
+
+
+def _check_against_reference(g, colourings):
+    """Pick order, not only the set, under both tie rules."""
+    ident = np.arange(g.n, dtype=np.int64)
+    order, _ = degeneracy_order(g)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = ident
+    for blue in colourings:
+        inst = RBInstance(g, blue.copy())
+        targets = np.flatnonzero(blue).tolist()
+        for which, tie, untie in (
+            (Approximator.GREEDY_COVER, ident, ident),
+            (Approximator.DEGENERACY_GUIDED, rank, order),
+        ):
+            want = greedy_cover_reference(g, targets, tie)
+            assert _greedy_picks(g, blue.copy(), tie, untie) == want
+            assert approximate(inst, which) == set(want)
+        assert np.array_equal(inst.blue, blue)  # caller state untouched
+
+
 def test_matches_reference_greedy(rng):
-    # pick order, not only the set, for both tie rules and three colourings
+    # three colourings of small random graphs, then all-blue and LA-reduced
+    # mid-size generator graphs, whose heaps go several levels deeper
     for _ in range(60):
         g = random_graph(rng, n_max=30)
         reduced = all_blue(g)
         reduce_instance(reduced, lossy=True)
-        ident = np.arange(g.n, dtype=np.int64)
-        order, _ = degeneracy_order(g)
-        rank = np.empty(g.n, dtype=np.int64)
-        rank[order] = ident
-        for blue in (np.ones(g.n, dtype=bool), rng.random(g.n) < 0.5, reduced.blue):
-            inst = RBInstance(g, blue.copy())
-            targets = np.flatnonzero(blue).tolist()
-            for which, tie, untie in (
-                (Approximator.GREEDY_COVER, ident, ident),
-                (Approximator.DEGENERACY_GUIDED, rank, order),
-            ):
-                want = greedy_cover_reference(g, targets, tie)
-                assert _greedy_picks(g, blue.copy(), tie, untie) == want
-                assert approximate(inst, which) == set(want)
-            assert np.array_equal(inst.blue, blue)  # caller state untouched
+        _check_against_reference(
+            g, (np.ones(g.n, dtype=bool), rng.random(g.n) < 0.5, reduced.blue)
+        )
+    for g in (
+        gen_gnp(300, 6.0, 1),
+        gen_gnp(400, 3.0, 2),
+        gen_barabasi_albert(300, 2, 3),
+        gen_watts_strogatz(300, 6, 0.3, 4),
+    ):
+        reduced = all_blue(g)
+        reduce_instance(reduced, lossy=True)
+        _check_against_reference(g, (np.ones(g.n, dtype=bool), reduced.blue))
 
 
 def test_output_always_valid_and_deterministic(rng):

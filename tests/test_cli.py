@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rbdom
 from rbdom import build_graph, write_edge_list
 from rbdom.cli import cli_main
 
@@ -190,3 +196,16 @@ def test_edge_list_named_mtx(tmp_path, capsys):
     el.write_text(write_edge_list(path_graph(7)))
     assert cli_main(["solve", "--input", str(el), "--mode", "aa"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "AA=3"
+
+
+def test_package_needs_only_numpy():
+    # scipy, networkx and hypothesis serve the tests; blocking them must not
+    # break importing the package or its command line
+    code = (
+        "import sys\n"
+        "for m in ('scipy', 'networkx', 'hypothesis'):\n"
+        "    sys.modules[m] = None\n"
+        "import rbdom, rbdom.cli\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rbdom.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

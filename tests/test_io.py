@@ -288,8 +288,6 @@ def test_parse_mtx_density_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="rbdom.io"):
         assert parse_matrix_market(text) == complete_graph(k)
     assert "903 nonzeros > 20.0 x 43 rows" in caplog.text
-    with pytest.raises(ValueError, match="sparse regime"):
-        parse_matrix_market(text, strict_density=True)
 
 
 def test_round_half_up():
