@@ -12,10 +12,8 @@ from .generate import (
 from .graph import (
     Graph,
     InvariantError,
-    avg_degree,
     build_graph,
     check_graph_invariants,
-    closed_neighborhood,
     degeneracy_order,
 )
 from .instance import INFEASIBLE, RBInstance, all_blue, ds_value, is_valid_solution
@@ -68,11 +66,9 @@ __all__ = [
     "aggregate",
     "all_blue",
     "approximate",
-    "avg_degree",
     "brute_force_min",
     "build_graph",
     "check_graph_invariants",
-    "closed_neighborhood",
     "degeneracy_order",
     "ds_value",
     "exact_min",

@@ -31,9 +31,6 @@ class Graph:
         """Sorted open neighborhood of v as an array view."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def degree(self, v):
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self):
         return np.diff(self.indptr)
 
@@ -41,15 +38,10 @@ class Graph:
         """Edges as an (m, 2) int64 array of rows (u, v) with u < v, sorted."""
         out = np.empty((self.m, 2), np.int64)
         i = 0
-        for pairs in _edge_blocks(self, _EDGE_BLOCK):
+        for pairs in _edge_blocks(self):
             out[i : i + pairs.shape[0]] = pairs
             i += pairs.shape[0]
         return out
-
-    def edges(self):
-        """Iterate edges as (u, v) with u < v, sorted, as Python ints."""
-        pairs = self.edge_array()
-        yield from zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -64,14 +56,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# adjacency entries turned into edges per step of _edge_blocks
-_EDGE_BLOCK = 1 << 16
+# adjacency entries turned into edges per block of _edge_blocks
+_EDGE_BLOCK = 8192
 
 
-def _edge_blocks(g, step):
-    """Consecutive (k, 2) int64 blocks of ``g.edge_array()``, one per ``step`` adjacency entries."""
-    for i in range(0, g.indices.shape[0], step):
-        dst = g.indices[i : i + step]
+def _edge_blocks(g):
+    """Consecutive (k, 2) int64 blocks of ``g.edge_array()``, one per ``_EDGE_BLOCK`` adjacency entries."""
+    for i in range(0, g.indices.shape[0], _EDGE_BLOCK):
+        dst = g.indices[i : i + _EDGE_BLOCK]
         j = i + dst.shape[0]
         # rows first..last hold entries i..j-1; clipped bounds count each row's share
         first, last = np.searchsorted(g.indptr, (i, j - 1), side="right") - 1
@@ -144,14 +136,6 @@ def build_graph(n, edges):
     return Graph(n, indptr, keys)
 
 
-def closed_neighborhood(g, v):
-    """N[v] = N(v) plus v itself, sorted ascending."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    nbrs = g.neighbors(v)
-    return np.insert(nbrs, np.searchsorted(nbrs, v), v)
-
-
 def _neighbor_sums(g, values):
     """Per-vertex sum of ``values[u]`` over the neighbors u, as int64."""
     # prefix sums over the adjacency list, differenced at the row bounds; the
@@ -204,13 +188,6 @@ def degeneracy_order(g):
                 bin_start[du] = pw + 1
                 deg[u] = du - 1
     return np.array(vert, np.int64), d_out
-
-
-def avg_degree(g):
-    """2m/n; raises ValueError on the empty graph."""
-    if g.n == 0:
-        raise ValueError("average degree undefined for n=0")
-    return 2.0 * g.m / g.n
 
 
 def check_graph_invariants(g):

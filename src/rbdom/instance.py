@@ -38,9 +38,6 @@ class RBInstance:
     def blue_count(self):
         return int(self.blue.sum())
 
-    def blue_vertices(self):
-        return np.flatnonzero(self.blue)
-
     def copy(self):
         return RBInstance(self.graph, self.blue.copy())
 

@@ -81,46 +81,44 @@ def _bulk_edge_list(text):
     return n, edges
 
 
+def _records(lines, start, comment):
+    """(lineno, fields) of each line that is neither blank nor a comment."""
+    for lineno, raw in enumerate(lines, start=start):
+        line = raw.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line.split()
+
+
+def _ints(lineno, parts, noun):
+    """The fields as ints; raises ParseError "line N: non-integer <noun>"."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer {noun}") from None
+
+
 def _scan_edge_list(text):
     """(n, [(u, v), ...]) line by line; raises ParseError naming the first bad line."""
-    header = None
+    records = _records(text.splitlines(), 1, "#")
+    lineno, parts = next(records, (None, None))
+    if lineno is None:
+        raise ParseError("line 1: missing header 'n m'")
+    if len(parts) != 2:
+        raise ParseError(f"line {lineno}: expected header 'n m'")
+    n, m = _ints(lineno, parts, "header")
+    if n < 0 or m < 0:
+        raise ParseError(f"line {lineno}: negative counts in header")
     edges = []
-    n = m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected header 'n m'")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer header") from None
-            if n < 0 or m < 0:
-                raise ParseError(f"line {lineno}: negative counts in header")
-            header = lineno
-            continue
+    for lineno, parts in records:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected edge 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer edge") from None
+        u, v = _ints(lineno, parts, "edge")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
         edges.append((u, v))
-    if header is None:
-        raise ParseError("line 1: missing header 'n m'")
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}")
     return n, edges
-
-
-# adjacency entries, about twice the edges, formatted per block by
-# write_edge_list
-_WRITE_CHUNK = 8192
 
 
 def write_edge_list(g):
@@ -133,7 +131,7 @@ def write_edge_list(g):
     out = [f"{g.n} {g.m}\n"]
     width = len(str(max(g.n - 1, 0)))
     labels = np.arange(g.n).astype(f"S{width}").view(np.uint8).reshape(g.n, width)
-    for pairs in _edge_blocks(g, _WRITE_CHUNK):
+    for pairs in _edge_blocks(g):
         buf = np.empty((pairs.shape[0], 2, width + 1), np.uint8)
         buf[:, :, :width] = np.take(labels, pairs, axis=0)
         buf[:, 0, width] = ord(" ")
@@ -145,7 +143,8 @@ def write_edge_list(g):
 def parse_matrix_market(text):
     """Parse a symmetric Matrix Market coordinate matrix as a graph.
 
-    Rejects non-symmetric and non-coordinate headers and non-square sizes.
+    Rejects non-symmetric and non-coordinate headers, negative counts and
+    non-square sizes.
     When nnz exceeds ``DENSITY_LIMIT`` times the row count the matrix is
     outside the sparse regime this pipeline targets, and a warning is logged.
     """
@@ -162,41 +161,30 @@ def parse_matrix_market(text):
             f"only symmetric matrices are supported, got {fields[4]!r}"
         )
 
-    size = None
+    records = _records(lines[1:], 2, "%")
+    lineno, parts = next(records, (None, None))
+    if lineno is None:
+        raise ParseError("missing size line 'rows cols nnz'")
+    if len(parts) != 3:
+        raise ParseError(f"line {lineno}: expected size 'rows cols nnz'")
+    rows, cols, nnz = _ints(lineno, parts, "size line")
+    if min(rows, cols, nnz) < 0:
+        raise ParseError(f"line {lineno}: negative counts in size line")
+    if rows != cols:
+        raise ParseError(
+            f"line {lineno}: adjacency matrix must be square, got {rows}x{cols}"
+        )
     edges = []
-    rows = nnz = 0
     entries_seen = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split()
-        if size is None:
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected size 'rows cols nnz'")
-            try:
-                rows, cols, nnz = (int(p) for p in parts)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer size line") from None
-            if rows != cols:
-                raise ValueError(
-                    f"adjacency matrix must be square, got {rows}x{cols}"
-                )
-            size = lineno
-            continue
+    for lineno, parts in records:
         if len(parts) < 2:
             raise ParseError(f"line {lineno}: expected matrix entry")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer entry indices") from None
+        i, j = _ints(lineno, parts[:2], "entry indices")
         if not (1 <= i <= rows and 1 <= j <= rows):
             raise ParseError(f"line {lineno}: entry ({i}, {j}) out of range")
         entries_seen += 1
         if i != j:
             edges.append((i - 1, j - 1))
-    if size is None:
-        raise ParseError("missing size line 'rows cols nnz'")
     if entries_seen != nnz:
         raise ParseError(f"size line promised {nnz} entries, found {entries_seen}")
     if nnz > DENSITY_LIMIT * rows:
@@ -218,10 +206,9 @@ def load_graph(path):
     return parse_edge_list(text)
 
 
-def round_half_up(value, digits=2):
-    """Decimal half-up rounding (so 8.2474 prints as 8.25, 0.125 as 0.13)."""
-    q = Decimal(1).scaleb(-digits)
-    return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
+def round_half_up(value):
+    """Decimal half-up rounding to two places (so 8.2474 gives 8.25, 0.125 gives 0.13)."""
+    return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def _format_ex(report):
@@ -235,7 +222,7 @@ def _format_ex(report):
 def _format_imprv(report):
     if report.imprv is None:
         return "--"
-    return f"{round_half_up(report.imprv, 2):.2f}"
+    return f"{round_half_up(report.imprv):.2f}"
 
 
 def write_report_csv(rows, path, aggregates=None):
@@ -246,7 +233,7 @@ def write_report_csv(rows, path, aggregates=None):
         for r in rows:
             out.writerow([r.id, r.n, r.m, _format_ex(r), r.aa, r.la, _format_imprv(r)])
         for agg in aggregates or []:
-            pct = f"{round_half_up(agg.pct_improved, 2):.2f}"
-            avg = "--" if agg.avg_imprv is None else f"{round_half_up(agg.avg_imprv, 2):.2f}"
+            pct = f"{round_half_up(agg.pct_improved):.2f}"
+            avg = "--" if agg.avg_imprv is None else f"{round_half_up(agg.avg_imprv):.2f}"
             fh.write("# ")
             out.writerow([agg.category, agg.count, pct, avg])

@@ -106,14 +106,8 @@ def aggregate(reports, category):
     return AggregateStats(category, len(reports), pct, avg)
 
 
-def run_instance(
-    instance_id,
-    g,
-    approx=Approximator.GREEDY_COVER,
-    time_limit=30.0,
-    with_exact=True,
-):
-    """Run both pipelines (and optionally the exact solver) on one graph.
+def run_instance(instance_id, g, approx=Approximator.GREEDY_COVER, time_limit=30.0):
+    """Run both pipelines, and the exact solver unless ``time_limit`` is None, on one graph.
 
     Returns (RunReport, aa_seconds, la_seconds). Both pipeline outputs and
     the exact solution are checked for validity; a failure raises
@@ -136,7 +130,7 @@ def run_instance(
 
     ex = None
     proven = True
-    if with_exact:
+    if time_limit is not None:
         s_ex, proven, _ = exact_min(inst, time_limit)
         if not is_valid_solution(inst, s_ex):
             raise InvariantError(f"{instance_id}: exact solution is not valid")

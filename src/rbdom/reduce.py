@@ -49,9 +49,6 @@ class ReductionTrace:
 
     records: list = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.records)
-
 
 def scd_nbr(g):
     """Per-vertex sum of neighbor degrees (bounds the distance-2 ball size)."""

@@ -215,7 +215,7 @@ def pendant_reference(g, blue):
     closed = closed_sets(g)
     reps = []
     while True:
-        pendants = [v for v in sorted(blue) if g.degree(v) == 1]
+        pendants = [v for v in sorted(blue) if g.neighbors(v).size == 1]
         if not pendants:
             return reps, blue
         v = pendants[0]

@@ -215,7 +215,7 @@ def test_improvement_formula_reference_rows():
         ((1114, 1016, 376), 26.06),
     ]
     ok = all(
-        round_half_up(improvement_pct(aa, la, ex), 2) == expected
+        round_half_up(improvement_pct(aa, la, ex)) == expected
         for (aa, la, ex), expected in rows
     )
     _report("improvement formula on reference rows", ok)

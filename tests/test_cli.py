@@ -209,3 +209,15 @@ def test_package_needs_only_numpy():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(rbdom.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_benchmark_modules_import():
+    # the benchmark imports the package by name; removing a name it uses
+    # must fail here rather than in a benchmark run
+    root = Path(rbdom.__file__).parents[2]
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "import bench, ops, workloads\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from rbdom import (
     Graph,
     InvariantError,
-    avg_degree,
     build_graph,
     check_graph_invariants,
-    closed_neighborhood,
     degeneracy_order,
 )
 from rbdom import graph
@@ -23,9 +21,7 @@ from conftest import (
     cycle_graph,
     degeneracy_by_subgraphs,
     degeneracy_reference,
-    path_graph,
     random_graph,
-    star_graph,
 )
 
 
@@ -53,8 +49,7 @@ def test_build_large_edge_list():
             break
     g = build_graph(1643, pairs)
     assert g.n == 1643 and g.m == 9857
-    assert avg_degree(g) == 2 * 9857 / 1643
-    assert 11.99 < avg_degree(g) < 12.0
+    assert 11.99 < 2 * g.m / g.n < 12.0
 
 
 def test_build_rejects_out_of_range():
@@ -70,7 +65,7 @@ def test_build_empty():
 def test_build_idempotent_under_permutation_and_duplication(rng):
     for _ in range(25):
         g = random_graph(rng)
-        edges = [(u, v) for u, v in g.edges()]
+        edges = list(map(tuple, g.edge_array().tolist()))
         perm = list(edges)
         rng.shuffle(perm)
         doubled = [(v, u) for u, v in perm] + perm + edges
@@ -115,24 +110,6 @@ def test_edge_array_in_small_blocks(rng):
                 assert [tuple(e) for e in pairs.tolist()] == expected
 
 
-def test_edges_sorted_python_ints():
-    g = build_graph(4, [(2, 1), (0, 3), (1, 0), (3, 2)])
-    edges = list(g.edges())
-    assert edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert all(type(u) is int and type(v) is int for u, v in edges)
-
-
-def test_closed_neighborhood():
-    p3 = path_graph(3)
-    assert set(closed_neighborhood(p3, 1)) == {0, 1, 2}
-    lonely = build_graph(2, [])
-    assert set(closed_neighborhood(lonely, 0)) == {0}
-    star = star_graph(4)
-    assert set(closed_neighborhood(star, 0)) == {0, 1, 2, 3, 4}
-    with pytest.raises(ValueError):
-        closed_neighborhood(p3, 3)
-
-
 def test_degeneracy_examples():
     tree = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     assert degeneracy_order(tree)[1] == 1
@@ -169,13 +146,6 @@ def test_degeneracy_order_properties(rng):
             later = sum(1 for u in g.neighbors(v) if position[int(u)] > position[v])
             assert later <= d
         assert g.m <= d * g.n
-
-
-def test_avg_degree():
-    assert avg_degree(path_graph(3)) == pytest.approx(4 / 3)
-    assert avg_degree(cycle_graph(6)) == 2
-    with pytest.raises(ValueError):
-        avg_degree(build_graph(0, []))
 
 
 def test_check_invariants_passes_on_built_graphs(rng):

@@ -85,4 +85,4 @@ def test_validity_matches_closed_neighbourhood_sets(inst, data):
     s = data.draw(st.sets(st.integers(0, inst.graph.n - 1)))
     closed = closed_sets(inst.graph)
     covered = set().union(*(closed[v] for v in s))
-    assert is_valid_solution(inst, s) == (set(inst.blue_vertices().tolist()) <= covered)
+    assert is_valid_solution(inst, s) == (set(np.flatnonzero(inst.blue).tolist()) <= covered)

@@ -16,7 +16,7 @@ from rbdom import (
     write_edge_list,
     write_report_csv,
 )
-from rbdom import io
+from rbdom import graph
 from rbdom.io import _bulk_edge_list, round_half_up
 from rbdom.pipeline import AggregateStats, RunReport
 
@@ -94,7 +94,7 @@ def test_write_edge_list_digit_widths(n):
 def test_write_edge_list_in_small_chunks(rng):
     graphs = [random_graph(rng, n_max=30) for _ in range(10)] + [build_graph(4, [])]
     for chunk in (1, 2, 3, 5, 8):
-        with patch.object(io, "_WRITE_CHUNK", chunk):
+        with patch.object(graph, "_EDGE_BLOCK", chunk):
             for g in graphs:
                 assert write_edge_list(g) == write_edge_list_reference(g)
 
@@ -108,7 +108,7 @@ def test_bulk_reader_takes_written_text(rng):
         assert parsed is not None
         n, edges = parsed
         assert n == g.n
-        assert edges.tolist() == [list(e) for e in g.edges()]
+        assert edges.tolist() == g.edge_array().tolist()
 
 
 # one of these, or none, is applied to each drawn text
@@ -266,6 +266,44 @@ def test_parse_mtx_rejects_nonsquare():
     text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 4 1\n2 1\n"
     with pytest.raises(ValueError, match="square"):
         parse_matrix_market(text)
+
+
+_MTX_BANNER = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param("% only a comment\n\n", "missing size line 'rows cols nnz'", id="no_size_line"),
+        pytest.param("3 3\n", "line 2: expected size 'rows cols nnz'", id="two_field_size"),
+        pytest.param("3 3 2\nx 1\n3 2\n", "line 3: non-integer entry indices", id="non_integer_entry"),
+        pytest.param("3 3 2\n2\n3 2\n", "line 3: expected matrix entry", id="one_field_entry"),
+        pytest.param("3 3 2\n0 1\n3 2\n", "line 3: entry (0, 1) out of range", id="index_zero"),
+        pytest.param("3 3 2\n2 1\n4 2\n", "line 4: entry (4, 2) out of range", id="index_past_rows"),
+        pytest.param("3 3 2\n% c\n\n2 1\n0 2\n", "line 6: entry (0, 2) out of range", id="line_counts_skipped_lines"),
+        pytest.param("3 3 1\n2 1\n3 2\n", "size line promised 1 entries, found 2", id="too_many_entries"),
+        pytest.param("3 3 3\n2 1\n3 2\n", "size line promised 3 entries, found 2", id="too_few_entries"),
+        pytest.param("3 4 1\n2 1\n", "line 2: adjacency matrix must be square, got 3x4", id="non_square"),
+        pytest.param("-1 -1 0\n", "line 2: negative counts in size line", id="negative_sizes"),
+        pytest.param("3 3 -1\n", "line 2: negative counts in size line", id="negative_nnz"),
+    ],
+)
+def test_parse_mtx_errors(body, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_matrix_market(_MTX_BANNER + body)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _MTX_BANNER + "% adjacency\n\n3 3 2\n% between\n\n  \n2 1\n%\n3 2\n\n",
+        "%%MatrixMarket matrix coordinate complex symmetric\n3 3 2\n2 1 1.0 -0.5\n3 2 0 2\n",
+    ],
+    ids=["comments_and_blanks", "complex"],
+)
+def test_parse_mtx_comments_blanks_and_complex_entries(text):
+    assert parse_matrix_market(text) == path_graph(3)
 
 
 def test_parse_mtx_ignores_diagonal_and_values():

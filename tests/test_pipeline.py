@@ -207,3 +207,13 @@ def test_run_instance_rejects_invalid_exact_solution(monkeypatch):
     monkeypatch.setattr("rbdom.pipeline.exact_min", lambda inst, limit: (set(), True, 0))
     with pytest.raises(InvariantError, match="p4: exact solution is not valid"):
         run_instance("p4", path_graph(4), time_limit=1.0)
+
+
+def test_run_instance_without_time_limit_skips_exact(monkeypatch):
+    def fail(inst, limit):
+        raise AssertionError("exact_min called")
+
+    monkeypatch.setattr("rbdom.pipeline.exact_min", fail)
+    report, _, _ = run_instance("p4", path_graph(4), time_limit=None)
+    assert report.ex is None and report.imprv is None
+    assert (report.aa, report.la) == (2, 2)

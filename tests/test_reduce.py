@@ -88,7 +88,7 @@ def test_pendant_matches_reference(rng):
         recs = rr_pendant_exhaustive(inst)
         ref_reps, ref_blue = pendant_reference(g, range(g.n))
         assert [next(iter(r.add_set)) for r in recs] == ref_reps
-        assert set(inst.blue_vertices().tolist()) == ref_blue
+        assert set(np.flatnonzero(inst.blue).tolist()) == ref_blue
 
 
 def test_lossy_c4():
@@ -104,7 +104,7 @@ def test_lossy_p7():
     rec = rr_lossy2(inst)
     assert sorted(rec.add_set) == [1]
     assert rec.psi == {1: 6}
-    assert set(inst.blue_vertices().tolist()) == {3, 4, 5, 6}
+    assert set(np.flatnonzero(inst.blue).tolist()) == {3, 4, 5, 6}
     assert verify_psi(all_blue(path_graph(7)), rec.psi)
 
 
@@ -126,7 +126,7 @@ def test_lossy_matches_reference(rng):
         assert sorted(rec.add_set) == sorted(xs)
         assert list(rec.psi) == xs
         assert rec.psi == psi
-        assert set(inst.blue_vertices().tolist()) == blue
+        assert set(np.flatnonzero(inst.blue).tolist()) == blue
         assert verify_psi(before, rec.psi)
 
 
@@ -137,7 +137,7 @@ def test_lossy_after_pendant_pipeline(rng):
         inst = all_blue(g)
         rr_isolated(inst)
         rr_pendant_exhaustive(inst)
-        mid_blue = set(inst.blue_vertices().tolist())
+        mid_blue = set(np.flatnonzero(inst.blue).tolist())
         before = inst.copy()
         rec = rr_lossy2(inst)
         xs, psi, blue = lossy_reference(g, mid_blue)
@@ -146,17 +146,17 @@ def test_lossy_after_pendant_pipeline(rng):
         else:
             assert list(rec.psi) == xs
             assert rec.psi == psi
-            assert set(inst.blue_vertices().tolist()) == blue
+            assert set(np.flatnonzero(inst.blue).tolist()) == blue
             assert verify_psi(before, rec.psi)
 
 
 @settings(max_examples=200)
 @given(coloured_instances(n_max=40))
 def test_lossy_matches_reference_on_coloured_instances(inst):
-    xs, psi, blue = lossy_reference(inst.graph, inst.blue_vertices().tolist())
+    xs, psi, blue = lossy_reference(inst.graph, np.flatnonzero(inst.blue).tolist())
     rec = rr_lossy2(inst)
     assert inst.blue.dtype == np.bool_
-    assert set(inst.blue_vertices().tolist()) == blue
+    assert set(np.flatnonzero(inst.blue).tolist()) == blue
     if rec is None:
         assert xs == []
         return
@@ -234,7 +234,7 @@ def test_lift_validity_on_random_instances(inst):
     original = inst.copy()
     trace = reduce_instance(inst, lossy=True)
     # any valid reduced solution lifts to a valid original solution
-    reduced_solutions = (set(inst.blue_vertices().tolist()), set(range(inst.graph.n)), approximate(inst))
+    reduced_solutions = (set(np.flatnonzero(inst.blue).tolist()), set(range(inst.graph.n)), approximate(inst))
     for s_reduced in reduced_solutions:
         assert is_valid_solution(inst, s_reduced)
         assert is_valid_solution(original, lift(trace, s_reduced))
@@ -257,6 +257,6 @@ def test_images_stay_blue_after_lossy(inst):
     rec = rr_lossy2(inst)
     if rec is None:
         return
-    blue_after = set(inst.blue_vertices().tolist())
+    blue_after = set(np.flatnonzero(inst.blue).tolist())
     assert set(rec.psi.values()) <= blue_after
     assert verify_psi(before, rec.psi)
