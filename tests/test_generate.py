@@ -250,6 +250,17 @@ GENERATOR_GOLDEN = {
             "e0ad97e3f5d5263bd1d18773cc972d38ef7066fa4d21990db5e18bb5febbd224",
             "5d349efffd6e6697cda6407be57801a9ba559f8f25d1207c1c4329a3045e8395",
         ),
+        # every edge draws a uniform and then a rewiring target
+        (20000, 10, 1.0, 5): (
+            100000,
+            "4e5b3241bcc893503833ec80fd2e3a07ac3143cda9c87e1d568bdaac903ea961",
+            "cb4f9c26b19a34ebdfca3b53b0ec8e409542e8e56df86fc9245b62650133f276",
+        ),
+        (20000, 10, 0.3, 13): (
+            100000,
+            "ff5174233aaf1d046677cd06014fa7973a918133284c7a5c4b9e13924811cd63",
+            "dcc36b517d74ac3c5b17f524b3e6bd8d7a8aaccfc764f1917e076bf6e5da3452",
+        ),
     },
     gen_random_regular: {
         (8, 3, 1): (
@@ -267,6 +278,11 @@ GENERATOR_GOLDEN = {
             "4ab07116b9a4e8251e004869f1056e0fd5d38db2be3660dc03d7d0085ccf435f",
             "3b2d65baae503eacb3a2ff92a1690b0d3c4313bdf12a37bab8855d16842539fc",
         ),
+        (5000, 7, 3): (
+            17500,
+            "f62af875bf0126d2a5be87f12a6d26f92c6b7d8c95639cf2c5b2992dcd7b0aae",
+            "31fd44d77e999ae76dedd36b1c13599baa664032c1e3fc0882190b0a66623cad",
+        ),
     },
     gen_barabasi_albert: {
         (5, 1, 2): (
@@ -283,6 +299,17 @@ GENERATOR_GOLDEN = {
             4985,
             "c5a870ba607050c61628966b58b9bd8602eff0c3a8d0a2430f24c4c8670ca461",
             "1f292fe4efa7fd9c2713639bdaf6eb209d42180e66602d2a54f183f0f91106b3",
+        ),
+        (20000, 7, 21): (
+            139972,
+            "4d44e6539612ed4c8322c9cda709504e0e448dd6b210e3b04d56db0632dfcc6a",
+            "55b4cbdb33e40f8c381e97ce0cb708e35c8a6dbd7ce215561db58848154855b5",
+        ),
+        # no edge yet when vertex 1 attaches, so its target is drawn below 1
+        (3, 1, 9): (
+            2,
+            "f04c3238dcd069b56d1a0baa5fe0dd6a507a374d607269ad965750fbb5796ff0",
+            "61cf0779682923ad84576de9bd059eff1ff0ae3a5f60b3d8d65e9bb777c5c938",
         ),
     },
 }
