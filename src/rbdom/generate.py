@@ -7,13 +7,90 @@ preferential attachment seeded with a clique on ``attach`` vertices (so
 m = attach * (n - attach) + attach * (attach - 1) / 2). Outputs are
 deterministic per (parameters, seed) within this implementation; no attempt
 is made to match any other library's edge stream.
+
+Draw order is part of that contract: each generator makes its draws from its
+own ``default_rng(seed)`` in a fixed order. Watts-Strogatz and
+Barabasi-Albert make one scalar draw at a time, so they decode
+``Generator.random()`` and ``Generator.integers(0, k)`` from the raw 64-bit
+words themselves (:class:`_Draws`), which gives numpy's values at a fraction
+of a scalar call's cost. The decoder reads words a block ahead; the words
+past the last draw are never used, and since the generator owns its
+``Generator`` nothing else sees them.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from .graph import build_graph
+
+
+# raw words per block: small graphs read few past their last draw, and the
+# blocks stop doubling at the cap so memory does not grow with n
+_FIRST_BLOCK, _MAX_BLOCK = 64, 4096
+_LOW32 = (1 << 32) - 1
+
+
+def _raw_blocks(bits):
+    """Endless lists of raw 64-bit words from ``bits``, in stream order."""
+    size = _FIRST_BLOCK
+    while True:
+        yield bits.random_raw(size).tolist()
+        size = min(2 * size, _MAX_BLOCK)
+
+
+def _halves(word):
+    """32-bit halves of the words ``word()`` returns: low half, then high half.
+
+    A word is read only when its low half is asked for, so words that other
+    callers of ``word`` read in between are skipped, as numpy's buffered
+    32-bit draws skip the words that 64-bit draws take.
+    """
+    while True:
+        w = word()
+        yield w & _LOW32
+        yield w >> 32
+
+
+class _Draws:
+    """numpy's scalar ``random()`` and ``integers(0, k)`` decoded from raw words.
+
+    Takes a fresh ``default_rng`` Generator, whose PCG64 serves 32-bit draws
+    as halves of its 64-bit words, and returns the values that the same
+    sequence of calls on it would: ``uniform()`` is ``random()``, which turns one
+    64-bit word w into (w >> 11) * 2**-53. ``below(k)`` is ``integers(0, k)``
+    for 1 <= k <= 2**32, numpy's 32-bit Lemire rejection on 32-bit halves:
+    the low half of a fresh word, then its high half at the next 32-bit draw,
+    however many ``uniform()`` calls come between.
+    """
+
+    __slots__ = ("_word", "_half")
+
+    def __init__(self, rng):
+        words = itertools.chain.from_iterable(_raw_blocks(rng.bit_generator))
+        self._word = words.__next__
+        self._half = _halves(self._word).__next__
+
+    def uniform(self):
+        return (self._word() >> 11) * 2.0**-53
+
+    def below(self, k):
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"need 1 <= k <= 2**32, got {k}")
+        if k == 1:
+            return 0  # numpy draws nothing for a single value
+        while True:
+            m = self._half() * k
+            low = m & _LOW32
+            # low >= k already clears the threshold (2**32 - k) % k < k
+            if low >= k or low >= ((1 << 32) - k) % k:
+                return m >> 32
+
+
+def _graph_from_keys(n, keys):
+    """The graph on n vertices whose edges are the lo * n + hi int64 ``keys``."""
+    return build_graph(n, np.column_stack(np.divmod(keys, n)))
 
 
 def gen_gnp(n, avg_deg, seed):
@@ -111,7 +188,7 @@ def gen_gnm(n, avg_deg, seed):
         keys = keys[np.sort(first)]
         keys = keys[~np.isin(keys, chosen)]
         chosen = np.concatenate((chosen, keys[: m - chosen.size]))
-    return build_graph(n, np.column_stack(np.divmod(chosen, n)))
+    return _graph_from_keys(n, chosen)
 
 
 def gen_watts_strogatz(n, d, p, seed):
@@ -128,23 +205,24 @@ def gen_watts_strogatz(n, d, p, seed):
         raise ValueError(f"need n > d, got n={n}, d={d}")
     if not 0 <= p <= 1:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed))
+    uniform, below = draws.uniform, draws.below
     half = d // 2
-    ring = [(u, (u + off) % n) for off in range(1, half + 1) for u in range(n)]
-    present = set((u, v) if u < v else (v, u) for u, v in ring)
-    edges = []
-    for u, v in ring:
-        key = (u, v) if u < v else (v, u)
-        if rng.random() < p:
-            w = int(rng.integers(0, n))
-            new = (u, w) if u < w else (w, u)
+    # ring edges (u, u + off) as lo * n + hi keys, offset-major; u keeps its
+    # end when the edge rewires
+    us = np.tile(np.arange(n, dtype=np.int64), half)
+    vs = us + np.repeat(np.arange(1, half + 1, dtype=np.int64), n)
+    vs %= n
+    ring = np.minimum(us, vs) * n + np.maximum(us, vs)
+    present = set(ring.tolist())
+    for u, key in zip(us.tolist(), ring.tolist()):
+        if uniform() < p:
+            w = below(n)
+            new = u * n + w if u < w else w * n + u
             if w != u and new not in present:
                 present.discard(key)
                 present.add(new)
-                edges.append(new)
-                continue
-        edges.append(key)
-    return build_graph(n, edges)
+    return _graph_from_keys(n, np.fromiter(present, np.int64, len(present)))
 
 
 def gen_random_regular(n, d, seed):
@@ -157,12 +235,13 @@ def gen_random_regular(n, d, seed):
     if d == 0:
         return build_graph(n, [])
     while True:
-        edges = _pairing_attempt(n, d, rng)
-        if edges is not None:
-            return build_graph(n, edges)
+        keys = _pairing_attempt(n, d, rng)
+        if keys is not None:
+            return _graph_from_keys(n, keys)
 
 
 def _pairing_attempt(n, d, rng):
+    """Edges as lo * n + hi keys, or None when a round pairs nothing new."""
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     edges = set()
     while stubs.size:
@@ -172,7 +251,7 @@ def _pairing_attempt(n, d, rng):
         it = stubs.tolist()
         for i in range(0, len(it) - 1, 2):
             u, v = it[i], it[i + 1]
-            e = (u, v) if u < v else (v, u)
+            e = u * n + v if u < v else v * n + u
             if u == v or e in edges:
                 leftover.append(u)
                 leftover.append(v)
@@ -182,7 +261,7 @@ def _pairing_attempt(n, d, rng):
         if leftover and not progress:
             return None  # stuck; caller restarts with fresh randomness
         stubs = np.asarray(leftover, dtype=np.int64)
-    return list(edges)
+    return np.fromiter(edges, np.int64, len(edges))
 
 
 def gen_barabasi_albert(n, attach, seed):
@@ -193,18 +272,17 @@ def gen_barabasi_albert(n, attach, seed):
     """
     if not 1 <= attach < n:
         raise ValueError(f"need 1 <= attach < n, got attach={attach}, n={n}")
-    rng = np.random.default_rng(seed)
-    edges = [(i, j) for i in range(attach) for j in range(i + 1, attach)]
-    endpoints = [v for e in edges for v in e]
+    below = _Draws(np.random.default_rng(seed)).below
+    # every edge's two ends in order: the clique's, then (v, t) per target
+    endpoints = [v for i in range(attach) for j in range(i + 1, attach) for v in (i, j)]
     for v in range(attach, n):
+        # ends are drawn proportionally to degree; vertices uniformly while
+        # there is no edge yet
+        pool = endpoints or range(v)
+        k = len(pool)
         targets = set()
         while len(targets) < attach:
-            if endpoints:
-                targets.add(endpoints[int(rng.integers(0, len(endpoints)))])
-            else:
-                targets.add(int(rng.integers(0, v)))
+            targets.add(pool[below(k)])
         for t in sorted(targets):
-            edges.append((v, t))
-            endpoints.append(v)
-            endpoints.append(t)
-    return build_graph(n, edges)
+            endpoints += (v, t)
+    return build_graph(n, np.array(endpoints, np.int64).reshape(-1, 2))

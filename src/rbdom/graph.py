@@ -79,6 +79,12 @@ def _edge_blocks(g):
 _ID_MASK = (1 << 32) - 1
 
 
+# vertex counts stay below this cap, which keeps the packed heap keys (counts
+# at most n, ids below 2^31; see _ID_MASK) and build_graph's lo * n + hi edge
+# keys from overflowing
+_VERTEX_CAP = 1 << 31
+
+
 def build_graph(n, edges):
     """Build a Graph from an edge list, dropping self-loops and duplicates.
 
@@ -87,10 +93,8 @@ def build_graph(n, edges):
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n >= 1 << 31:
+    if n >= _VERTEX_CAP:
         raise ValueError(f"vertex count {n} exceeds the supported 2^31 limit")
-    # the vertex cap keeps the packed heap keys (counts at most n, ids below
-    # 2^31; see _ID_MASK) and the lo * n + hi edge keys below from overflowing
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, 2)

@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .graph import _edge_blocks, build_graph
+from .graph import _VERTEX_CAP, _edge_blocks, build_graph
 
 logger = logging.getLogger(__name__)
 
@@ -66,14 +66,14 @@ def _bulk_edge_list(text):
 
     Plain text, which write_edge_list emits, passes one regex check and is
     read by numpy's text reader. A failed check on the header, the edge
-    count or the id range returns None.
+    count, the vertex cap or the id range returns None.
     """
     # np.fromstring reads text without a digit as [0]
     if not _PLAIN_TEXT.fullmatch(text) or not re.search("[0-9]", text):
         return None
     values = np.fromstring(text, dtype=np.int64, sep=" ")
     n, m = int(values[0]), int(values[1])
-    if values.size != 2 * m + 2:
+    if values.size != 2 * m + 2 or n >= _VERTEX_CAP:
         return None
     edges = values[2:].reshape(-1, 2)
     if edges.size and edges.max() >= n:
@@ -108,6 +108,8 @@ def _scan_edge_list(text):
     n, m = _ints(lineno, parts, "header")
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: negative counts in header")
+    if n >= _VERTEX_CAP:
+        raise ParseError(f"line {lineno}: vertex count {n} exceeds the supported 2^31 limit")
     edges = []
     for lineno, parts in records:
         if len(parts) != 2:
@@ -173,6 +175,10 @@ def parse_matrix_market(text):
     if rows != cols:
         raise ParseError(
             f"line {lineno}: adjacency matrix must be square, got {rows}x{cols}"
+        )
+    if rows >= _VERTEX_CAP:
+        raise ParseError(
+            f"line {lineno}: vertex count {rows} exceeds the supported 2^31 limit"
         )
     edges = []
     entries_seen = 0

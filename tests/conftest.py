@@ -334,6 +334,10 @@ def parse_edge_list_reference(text):
                 raise ParseError(f"line {lineno}: non-integer header") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative counts in header")
+            if n >= 1 << 31:
+                raise ParseError(
+                    f"line {lineno}: vertex count {n} exceeds the supported 2^31 limit"
+                )
             header = lineno
             continue
         if len(parts) != 2:

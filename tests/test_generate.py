@@ -16,7 +16,7 @@ from rbdom import (
     write_edge_list,
 )
 
-from rbdom.generate import _gnp_edges
+from rbdom.generate import _MAX_BLOCK, _Draws, _gnp_edges
 
 from conftest import gen_gnp_reference
 
@@ -360,3 +360,30 @@ def test_gnp_multi_block_matches_reference(n, share, seed, block):
     total = n * (n - 1) // 2
     g = build_graph(n, _gnp_edges(total, p, seed, block))
     assert g == gen_gnp_reference(n, avg_deg, seed, block=block)
+
+
+# a call list holds None for uniform() and k for below(k)
+_DRAW_CALLS = st.lists(st.one_of(st.none(), st.integers(1, 2**32), st.integers(1, 50)), max_size=300)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**64 - 1), _DRAW_CALLS)
+@example(1, [1, None, 1, 5, 1])  # k = 1 draws nothing
+@example(2, [2**31 + 1] * 64)  # about half of these draws are rejected
+@example(3, [2**32, None, 2**32, 2**32])
+@example(4, [None, 3, None] * _MAX_BLOCK)  # 2.5 * _MAX_BLOCK words, past a full block
+def test_draws_match_numpy(seed, calls):
+    draws = _Draws(np.random.default_rng(seed))
+    twin = np.random.default_rng(seed)
+    for k in calls:
+        if k is None:
+            assert draws.uniform() == twin.random()
+        else:
+            assert draws.below(k) == twin.integers(0, k)
+
+
+@pytest.mark.parametrize("k", [0, 2**32 + 1])
+def test_draws_below_rejects_unsupported_bounds(k):
+    # above 2^32 numpy switches to 64-bit draws, which _Draws does not decode
+    with pytest.raises(ValueError):
+        _Draws(np.random.default_rng(0)).below(k)

@@ -46,6 +46,22 @@ def test_parse_edge_list_out_of_range_names_line():
         parse_edge_list("2 1\n0 5")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("3000000000 0\n", 1, id="plain_text"),
+        pytest.param("# big\n3000000000 0\n", 2, id="after_comment"),
+    ],
+)
+def test_parse_edge_list_over_vertex_cap_names_line(text, line):
+    # the plain-text reader defers to the scanner, so both paths name the line
+    with pytest.raises(ParseError) as excinfo:
+        parse_edge_list(text)
+    assert str(excinfo.value) == (
+        f"line {line}: vertex count 3000000000 exceeds the supported 2^31 limit"
+    )
+
+
 def test_parse_edge_list_malformed():
     with pytest.raises(ParseError, match="line 1"):
         parse_edge_list("3\n0 1")
@@ -286,6 +302,11 @@ _MTX_BANNER = "%%MatrixMarket matrix coordinate pattern symmetric\n"
         pytest.param("3 4 1\n2 1\n", "line 2: adjacency matrix must be square, got 3x4", id="non_square"),
         pytest.param("-1 -1 0\n", "line 2: negative counts in size line", id="negative_sizes"),
         pytest.param("3 3 -1\n", "line 2: negative counts in size line", id="negative_nnz"),
+        pytest.param(
+            "3000000000 3000000000 0\n",
+            "line 2: vertex count 3000000000 exceeds the supported 2^31 limit",
+            id="over_vertex_cap",
+        ),
     ],
 )
 def test_parse_mtx_errors(body, message):

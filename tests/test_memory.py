@@ -6,13 +6,28 @@ MiB). The whole-array forms these layers replaced peaked at 8.2 (gen_gnp),
 3.6 (build_graph), 5.8 (parse_edge_list) and 3.0 (write_edge_list) times the
 CSR; the ratios hold steady from n = 5,000 to n = 50,000. A neighbor sum
 that gathered into a temporary before its prefix sum peaked at 2.0.
+
+The list-built generators are held to the same unit. With their edges kept
+as lists of tuples and one numpy scalar call per draw, Watts-Strogatz,
+preferential attachment and random regular peaked at 19.6, 7.8 and 12.0;
+decoding from blocks of raw words and keeping edges as integer keys takes
+them to 10.6, 3.6 and 10.9. Reading a whole graph's words at once would
+lift the first two past their bounds again.
 """
 
 import tracemalloc
 
 import pytest
 
-from rbdom import build_graph, gen_gnp, parse_edge_list, write_edge_list
+from rbdom import (
+    build_graph,
+    gen_barabasi_albert,
+    gen_gnp,
+    gen_random_regular,
+    gen_watts_strogatz,
+    parse_edge_list,
+    write_edge_list,
+)
 from rbdom.reduce import scd_nbr
 
 from conftest import scd_nbr_reference
@@ -46,6 +61,21 @@ def test_gen_gnp_peak(headline):
     built, peak = traced_peak(gen_gnp, N, AVG_DEG, SEED)
     assert built == g
     assert peak / csr <= 3.5
+
+
+@pytest.mark.parametrize(
+    "gen, args, m, bound",
+    [
+        pytest.param(gen_watts_strogatz, (N, 20, 0.3, SEED), N * 10, 12.0, id="watts_strogatz"),
+        pytest.param(gen_barabasi_albert, (N, 10, SEED), 10 * (N - 10) + 45, 4.5, id="barabasi_albert"),
+        pytest.param(gen_random_regular, (N, 20, SEED), N * 10, 11.5, id="random_regular"),
+    ],
+)
+def test_list_built_generator_peak(headline, gen, args, m, bound):
+    _, csr = headline
+    built, peak = traced_peak(gen, *args)
+    assert built.m == m
+    assert peak / csr <= bound
 
 
 def test_build_graph_peak(headline):
