@@ -24,13 +24,24 @@ from .io import load_graph, write_edge_list, write_report_csv
 from .pipeline import aggregate, run_exp_aa, run_exp_la, run_instance
 
 
+# gen --model: generator and the options it takes between n and seed
+_MODELS = {
+    "gnp": (gen_gnp, ("avg-deg",)),
+    "gnm": (gen_gnm, ("avg-deg",)),
+    "ws": (gen_watts_strogatz, ("d", "p")),
+    "dreg": (gen_random_regular, ("d",)),
+    "ba": (gen_barabasi_albert, ("attach",)),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="rbdom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     approx_choices = [a.value for a in Approximator]
 
     p = sub.add_parser("gen", help="generate a random graph file")
-    p.add_argument("--model", required=True, choices=["gnp", "gnm", "ws", "dreg", "ba"])
+    p.set_defaults(run=_cmd_gen)
+    p.add_argument("--model", required=True, choices=list(_MODELS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--avg-deg", type=float, help="gnp/gnm average degree")
     p.add_argument("--d", type=int, help="ws/dreg degree parameter")
@@ -40,12 +51,14 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("solve", help="run one pipeline or solver on a graph")
+    p.set_defaults(run=_cmd_solve)
     p.add_argument("--input", required=True)
     p.add_argument("--mode", required=True, choices=["aa", "la", "exact", "greedy"])
     p.add_argument("--approx", choices=approx_choices, default="greedy")
     p.add_argument("--time-limit", type=float, default=30.0)
 
     p = sub.add_parser("exp", help="run both pipelines over a directory of graphs")
+    p.set_defaults(run=_cmd_exp)
     p.add_argument("--dir", required=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--approx", choices=approx_choices, default="greedy")
@@ -54,27 +67,18 @@ def _build_parser():
     p.add_argument("--no-exact", action="store_true")
 
     p = sub.add_parser("verify", help="run the invariant suite on a graph")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--input", required=True)
     return parser
 
 
 def _cmd_gen(args):
-    def need(name):
-        value = getattr(args, name.replace("-", "_"))
+    gen, params = _MODELS[args.model]
+    values = [getattr(args, name.replace("-", "_")) for name in params]
+    for name, value in zip(params, values):
         if value is None:
             raise ValueError(f"--{name} is required for model {args.model}")
-        return value
-
-    if args.model == "gnp":
-        g = gen_gnp(args.n, need("avg-deg"), args.seed)
-    elif args.model == "gnm":
-        g = gen_gnm(args.n, need("avg-deg"), args.seed)
-    elif args.model == "ws":
-        g = gen_watts_strogatz(args.n, need("d"), need("p"), args.seed)
-    elif args.model == "dreg":
-        g = gen_random_regular(args.n, need("d"), args.seed)
-    else:
-        g = gen_barabasi_albert(args.n, need("attach"), args.seed)
+    g = gen(args.n, *values, args.seed)
     Path(args.out).write_text(write_edge_list(g), encoding="utf-8")
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0
@@ -160,13 +164,7 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "exp":
-            return _cmd_exp(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

@@ -129,11 +129,11 @@ def _packing_lower_bound(classes, start, dom, cap, dist2):
 def exact_min(inst, time_budget=30.0):
     """Branch-and-bound minimum solution under a deterministic budget.
 
-    Returns (solution, proven_optimal, lower_bound). On budget expiry the
-    incumbent found so far comes back with proven_optimal=False and the
-    root packing bound as lower_bound; lower_bound always holds, and equals
-    the solution size when proven. Raises ValueError unless time_budget is
-    a positive finite number.
+    Returns (solution, proven_optimal, lower_bound). The result is proven,
+    with lower_bound the solution size, when the search ends or the
+    incumbent meets the root packing bound; otherwise the budget ran out,
+    possibly at the root, and lower_bound is the root packing bound.
+    Raises ValueError unless time_budget is a positive finite number.
     """
     if not (time_budget > 0 and math.isfinite(time_budget)):
         raise ValueError(
@@ -141,9 +141,6 @@ def exact_min(inst, time_budget=30.0):
         )
     best = sorted(approximate(inst, Approximator.GREEDY_COVER))
     best_size = len(best)
-    if best_size == 0:
-        return set(), True, 0
-
     left = max(10_000, int(time_budget * WORK_UNITS_PER_SECOND))
 
     g = inst.graph
@@ -158,17 +155,15 @@ def exact_min(inst, time_budget=30.0):
     work = int(sizes[inst.blue].sum())
     root_lb = _packing_lower_bound(classes, 0, 0, math.inf, dist2)
     left -= work
-    if root_lb >= best_size:
-        return set(best), True, best_size
-    if left <= 0:
-        return set(best), False, root_lb
+    truncated = left <= 0
 
     # one frame per open node: [first class with an undominated vertex,
     # dominated mask, banned mask, options not yet tried, work, vertex taken
     # into the open child]; the root branches on the lowest bit of classes[0]
-    first = classes[0] & -classes[0]
-    stack = [[0, 0, 0, ball[first.bit_length() - 1], work, -1]]
-    truncated = False
+    stack = []
+    if root_lb < best_size and not truncated:
+        first = classes[0] & -classes[0]
+        stack.append([0, 0, 0, ball[first.bit_length() - 1], work, -1])
     while stack:
         # descend into the next untried option of the deepest open node
         frame = stack[-1]
@@ -211,6 +206,5 @@ def exact_min(inst, time_budget=30.0):
                 v = (low & -low).bit_length() - 1
                 stack.append([start, dom, banned, ball[v] & ~banned, work, -1])
 
-    if best_size <= root_lb or not truncated:
-        return set(best), True, best_size
-    return set(best), False, root_lb
+    proven = best_size <= root_lb or not truncated
+    return set(best), proven, best_size if proven else root_lb

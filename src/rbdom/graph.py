@@ -195,7 +195,12 @@ def degeneracy_order(g):
 
 
 def check_graph_invariants(g):
-    """Raise InvariantError unless g is a well-formed simple graph."""
+    """Raise InvariantError unless g is a well-formed simple graph.
+
+    After the shape, range, self-loop and row-order checks, g is symmetric
+    exactly when ``build_graph`` rebuilds it unchanged from its own entries:
+    the rebuild adds every missing reverse entry.
+    """
     if g.indptr.shape[0] != g.n + 1 or g.indptr[0] != 0:
         raise InvariantError("indptr shape/start mismatch")
     if g.indptr[-1] != g.indices.shape[0]:
@@ -212,13 +217,5 @@ def check_graph_invariants(g):
     flat_drops = np.flatnonzero(np.diff(g.indices) <= 0) + 1
     if not np.isin(flat_drops, g.indptr[1:-1]).all():
         raise InvariantError("adjacency rows not strictly increasing")
-    # the rows are sorted, so the forward keys src * n + dst already are;
-    # only the reversed keys need a sort
-    n = np.int64(max(g.n, 1))
-    fwd = src * n
-    fwd += g.indices
-    rev = g.indices * n
-    rev += src
-    rev.sort()
-    if not np.array_equal(fwd, rev):
+    if build_graph(g.n, np.column_stack((src, g.indices))) != g:
         raise InvariantError("adjacency not symmetric")

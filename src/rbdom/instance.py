@@ -50,23 +50,19 @@ def all_blue(g):
     return RBInstance(g, np.ones(g.n, dtype=np.bool_))
 
 
-def _solution_array(inst, s):
-    arr = np.fromiter((int(v) for v in s), dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= inst.graph.n):
-        raise ValueError("solution contains out-of-range vertex ids")
-    return arr
-
-
-def dominated_mask(inst, s):
-    """Boolean mask of vertices inside the closed neighborhood of s."""
-    taken = np.zeros(inst.graph.n, dtype=np.bool_)
-    taken[_solution_array(inst, s)] = True
-    return taken | (_neighbor_sums(inst.graph, taken) > 0)
-
-
 def is_valid_solution(inst, s):
-    """True iff every blue vertex lies in the closed neighborhood of s."""
-    return bool((dominated_mask(inst, s) | ~inst.blue).all())
+    """True iff every blue vertex lies in the closed neighborhood of s.
+
+    Raises ValueError when s holds a vertex id outside 0..n-1.
+    """
+    g = inst.graph
+    arr = np.fromiter((int(v) for v in s), dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= g.n):
+        raise ValueError("solution contains out-of-range vertex ids")
+    taken = np.zeros(g.n, dtype=np.bool_)
+    taken[arr] = True
+    dominated = taken | (_neighbor_sums(g, taken) > 0)
+    return bool((dominated | ~inst.blue).all())
 
 
 def ds_value(inst, s):

@@ -3,7 +3,9 @@
 Edge list format: first non-comment line is "n m", followed by m lines
 "u v" with 0-based vertex ids; '#' starts a comment line. Plain edge-list
 text passes one regex check and is read by numpy; other text goes through a
-line scanner that names the first malformed line. Matrix Market
+line scanner that names the first malformed line. Both text readers end a
+line at LF only, split fields on ASCII whitespace and read an integer only
+from ASCII digits with an optional sign. Matrix Market
 ingestion accepts symmetric coordinate matrices only, treats them as
 adjacency matrices (1-based entries, diagonal ignored, values ignored), and
 warns when the nonzero count exceeds ``DENSITY_LIMIT`` (20) times the row
@@ -81,25 +83,33 @@ def _bulk_edge_list(text):
     return n, edges
 
 
+# fields split on ASCII whitespace; an integer is ASCII digits with an
+# optional sign (int() alone also takes "1_0" and non-ASCII digits)
+_FIELD = re.compile(r"[^ \t\r\v\f]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _records(lines, start, comment):
-    """(lineno, fields) of each line that is neither blank nor a comment."""
-    for lineno, raw in enumerate(lines, start=start):
-        line = raw.strip()
-        if line and not line.startswith(comment):
-            yield lineno, line.split()
+    """(lineno, fields) of each line, a piece between LFs, that is neither blank nor a comment."""
+    for lineno, line in enumerate(lines, start=start):
+        fields = _FIELD.findall(line)
+        if fields and not fields[0].startswith(comment):
+            yield lineno, fields
 
 
 def _ints(lineno, parts, noun):
     """The fields as ints; raises ParseError "line N: non-integer <noun>"."""
     try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"line {lineno}: non-integer {noun}") from None
+        if all(map(_INTEGER.fullmatch, parts)):
+            return [int(p) for p in parts]
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(f"line {lineno}: non-integer {noun}")
 
 
 def _scan_edge_list(text):
     """(n, [(u, v), ...]) line by line; raises ParseError naming the first bad line."""
-    records = _records(text.splitlines(), 1, "#")
+    records = _records(text.split("\n"), 1, "#")
     lineno, parts = next(records, (None, None))
     if lineno is None:
         raise ParseError("line 1: missing header 'n m'")
@@ -150,10 +160,10 @@ def parse_matrix_market(text):
     When nnz exceeds ``DENSITY_LIMIT`` times the row count the matrix is
     outside the sparse regime this pipeline targets, and a warning is logged.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_MM_BANNER):
+    lines = text.split("\n")
+    if not lines[0].startswith(_MM_BANNER):
         raise ParseError("line 1: missing %%MatrixMarket header")
-    fields = lines[0].split()
+    fields = _FIELD.findall(lines[0])
     if len(fields) < 5 or fields[1].lower() != "matrix":
         raise ParseError("line 1: malformed MatrixMarket header")
     if fields[2].lower() != "coordinate":

@@ -69,20 +69,21 @@ def reduce_instance(inst, lossy):
     return trace
 
 
+def _run_exp(g, approx, lossy):
+    """Reduce a fresh all-blue instance of g, approximate, lift."""
+    inst = all_blue(g)
+    trace = reduce_instance(inst, lossy)
+    return lift(trace, approximate(inst, approx))
+
+
 def run_exp_aa(g, approx=Approximator.GREEDY_COVER):
     """Reduce (isolated + pendant), approximate, lift. Returns a valid solution."""
-    inst = all_blue(g)
-    trace = reduce_instance(inst, lossy=False)
-    s_reduced = approximate(inst, approx)
-    return lift(trace, s_reduced)
+    return _run_exp(g, approx, lossy=False)
 
 
 def run_exp_la(g, approx=Approximator.GREEDY_COVER):
     """Like run_exp_aa with the lossy rule inserted before the approximator."""
-    inst = all_blue(g)
-    trace = reduce_instance(inst, lossy=True)
-    s_reduced = approximate(inst, approx)
-    return lift(trace, s_reduced)
+    return _run_exp(g, approx, lossy=True)
 
 
 def improvement_pct(aa, la, ex):
@@ -123,18 +124,15 @@ def run_instance(instance_id, g, approx=Approximator.GREEDY_COVER, time_limit=30
     s_la = run_exp_la(g, approx)
     la_seconds = time.perf_counter() - t0
 
-    if not is_valid_solution(inst, s_aa):
-        raise InvariantError(f"{instance_id}: AA pipeline output is not valid")
-    if not is_valid_solution(inst, s_la):
-        raise InvariantError(f"{instance_id}: LA pipeline output is not valid")
-
-    ex = None
-    proven = True
+    checks = [("AA pipeline output", s_aa), ("LA pipeline output", s_la)]
+    ex, proven = None, True
     if time_limit is not None:
         s_ex, proven, _ = exact_min(inst, time_limit)
-        if not is_valid_solution(inst, s_ex):
-            raise InvariantError(f"{instance_id}: exact solution is not valid")
+        checks.append(("exact solution", s_ex))
         ex = len(s_ex)
+    for what, s in checks:
+        if not is_valid_solution(inst, s):
+            raise InvariantError(f"{instance_id}: {what} is not valid")
 
     aa, la = len(s_aa), len(s_la)
     imprv = improvement_pct(aa, la, ex) if ex else None

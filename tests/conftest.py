@@ -315,21 +315,36 @@ def greedy_cover_reference(g, blue, rank=None):
     return picks
 
 
+# every ASCII whitespace character but LF, mapped to a space
+_ASCII_SPACE_TO_BLANK = str.maketrans("\t\r\v\f", "    ")
+
+
+def _ascii_int(field):
+    """int(field) for ASCII decimal digits with an optional sign, else ValueError."""
+    digits = field[1:] if field[0] in "+-" else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(field)
+    return int(field)
+
+
 def parse_edge_list_reference(text):
-    """The line-by-line edge-list parser the bulk reader replaced."""
+    """The line-by-line edge-list parser the bulk reader replaced.
+
+    Lines end at LF only; fields split on ASCII whitespace.
+    """
     header = None
     edges = []
     n = m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.translate(_ASCII_SPACE_TO_BLANK).split(" ")
+        parts = [p for p in parts if p]
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if header is None:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected header 'n m'")
             try:
-                n, m = int(parts[0]), int(parts[1])
+                n, m = _ascii_int(parts[0]), _ascii_int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer header") from None
             if n < 0 or m < 0:
@@ -343,7 +358,7 @@ def parse_edge_list_reference(text):
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected edge 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer edge") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -465,16 +480,18 @@ def random_graph(rng, n_max=20, n_min=1):
 def small_instances(draw, n_max, all_blue_only):
     """n <= n_max, edge density 0.05..0.6, all blue or an arbitrary blue mask.
 
-    Each vertex pair is an edge when its draw falls under a drawn threshold,
-    so dense graphs are as reachable as sparse ones. The exact-search
+    A drawn seed fills an n_max x n_max matrix of uniform weights, and pair
+    (u, v), u < v < n, is an edge when its weight falls under the drawn
+    density, so dense graphs are as reachable as sparse ones. A failing
+    example shrinks through three integers and the mask: a smaller n keeps
+    the induced subgraph and a lower density a subgraph. The exact-search
     properties need densities 0.2..0.4, where the greedy incumbent is most
     often beaten and the branch and bound has to find the optimum itself.
     """
     n = draw(st.integers(1, n_max))
-    pairs = list(itertools.combinations(range(n), 2))
-    density = draw(st.integers(1, 12))
-    draws = draw(st.lists(st.integers(0, 19), min_size=len(pairs), max_size=len(pairs)))
-    edges = [e for e, x in zip(pairs, draws) if x < density]
+    density = draw(st.integers(1, 12)) / 20
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n_max, n_max))
+    edges = np.argwhere(np.triu(weights[:n, :n] < density, 1))
     blue = [True] * n if all_blue_only else draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return RBInstance(build_graph(n, edges), np.array(blue, dtype=bool))
 

@@ -46,6 +46,25 @@ def test_gen_missing_model_param(tmp_path, capsys):
     assert "--d is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model, given, missing",
+    [
+        ("gnp", [], "avg-deg"),
+        ("gnm", [], "avg-deg"),
+        ("ws", [], "d"),
+        ("ws", ["--d", "4"], "p"),
+        ("dreg", [], "d"),
+        ("ba", [], "attach"),
+    ],
+)
+def test_gen_names_each_missing_model_param(tmp_path, capsys, model, given, missing):
+    out = tmp_path / "x.el"
+    code = cli_main(["gen", "--model", model, "--n", "30", *given, "--out", str(out)])
+    assert code == 1
+    assert f"error: --{missing} is required for model {model}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_modes(graph_file, capsys):
     for mode, label in (("aa", "AA"), ("la", "LA"), ("greedy", "GREEDY")):
         assert cli_main(["solve", "--input", str(graph_file), "--mode", mode]) == 0

@@ -153,6 +153,17 @@ def test_exact_budget_expiry_is_sound_and_deterministic():
         assert is_valid_solution(inst, sol)
 
 
+def test_exact_budget_spent_at_the_root_returns_the_incumbent():
+    # the root packing bound alone charges n + 2m > 10,000 units, the least
+    # budget, so the search stops before its first node
+    g = gen_gnp(2000, 8.0, 1)
+    assert g.n + 2 * g.m > 10_000
+    inst = all_blue(g)
+    greedy = approximate(inst, Approximator.GREEDY_COVER)
+    assert len(greedy) == 337
+    assert exact_min(inst, 0.001) == (greedy, False, 190)
+
+
 def test_lower_bound_is_valid(rng):
     # the packing bound never exceeds the true optimum
     for _ in range(30):

@@ -73,6 +73,33 @@ def test_parse_edge_list_malformed():
         parse_edge_list("# only a comment")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("20 1\n0 1_0\n", "line 2: non-integer edge", id="underscore_digits"),
+        pytest.param("20 1\n0 \u0661\n", "line 2: non-integer edge", id="arabic_digit"),
+        pytest.param("2_0 1\n0 1\n", "line 1: non-integer header", id="underscore_header"),
+        pytest.param("9" * 5000 + " 0\n", "line 1: non-integer header", id="past_int_digit_limit"),
+        pytest.param("20 1\n0 +-1\n", "line 2: non-integer edge", id="two_signs"),
+        pytest.param("20 1\n0 \u20281\n", "line 2: non-integer edge", id="unicode_line_separator"),
+        pytest.param("20 1\n0 1\x85\n", "line 2: non-integer edge", id="next_line_character"),
+        pytest.param("2 1\n\f0 5\n", "line 2: edge (0, 5) out of range for n=2", id="form_feed"),
+        pytest.param("2 1\r\n\v\r\n0 5\r\n", "line 3: edge (0, 5) out of range for n=2", id="crlf"),
+        pytest.param("# a\rb\n2 1\n0 5\n", "line 3: edge (0, 5) out of range for n=2", id="lone_cr"),
+    ],
+)
+def test_scanner_takes_ascii_integers_and_counts_lf_lines(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_edge_list(text)
+    assert str(excinfo.value) == message
+
+
+def test_scanner_splits_fields_on_ascii_whitespace_only():
+    assert parse_edge_list("3 2\r\n0\v1\r\n1\f2\r\n") == path_graph(3)
+    with pytest.raises(ParseError, match="line 2: expected edge 'u v'"):
+        parse_edge_list("3 1\n0\u00a01\n")
+
+
 def test_parse_edge_list_comments_and_blanks():
     g = parse_edge_list("# comment\n\n3 2\n# more\n0 1\n\n1 2\n")
     assert g == path_graph(3)
@@ -307,6 +334,13 @@ _MTX_BANNER = "%%MatrixMarket matrix coordinate pattern symmetric\n"
             "line 2: vertex count 3000000000 exceeds the supported 2^31 limit",
             id="over_vertex_cap",
         ),
+        pytest.param("3 3 1_0\n", "line 2: non-integer size line", id="underscore_size"),
+        pytest.param("3 3 \u0662\n", "line 2: non-integer size line", id="arabic_digit_size"),
+        pytest.param("% a\fb\n3 3 1_0\n", "line 3: non-integer size line", id="form_feed_before_size"),
+        pytest.param("3 3 2\n2 1\n3 \u0662\n", "line 4: non-integer entry indices", id="arabic_digit_entry"),
+        pytest.param("3 3 1\n1_0 1\n", "line 3: non-integer entry indices", id="underscore_entry"),
+        pytest.param("3 3 1\n\f4 1\n", "line 3: entry (4, 1) out of range", id="form_feed_entry"),
+        pytest.param("3 3 1\r\n\u2028\r\n4 1\r\n", "line 3: expected matrix entry", id="crlf_entry"),
     ],
 )
 def test_parse_mtx_errors(body, message):

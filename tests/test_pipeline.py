@@ -217,3 +217,11 @@ def test_run_instance_without_time_limit_skips_exact(monkeypatch):
     report, _, _ = run_instance("p4", path_graph(4), time_limit=None)
     assert report.ex is None and report.imprv is None
     assert (report.aa, report.la) == (2, 2)
+
+
+@pytest.mark.parametrize("pipeline, label", [("run_exp_aa", "AA"), ("run_exp_la", "LA")])
+def test_run_instance_rejects_invalid_pipeline_output(monkeypatch, pipeline, label):
+    # an empty set leaves every vertex of P4 undominated
+    monkeypatch.setattr(f"rbdom.pipeline.{pipeline}", lambda g, approx: set())
+    with pytest.raises(InvariantError, match=f"p4: {label} pipeline output is not valid"):
+        run_instance("p4", path_graph(4), time_limit=1.0)
