@@ -80,8 +80,8 @@ _ID_MASK = (1 << 32) - 1
 
 
 # vertex counts stay below this cap, which keeps the packed heap keys (counts
-# at most n, ids below 2^31; see _ID_MASK) and build_graph's lo * n + hi edge
-# keys from overflowing
+# at most n, ids below 2^31; see _ID_MASK) and build_graph's src * n + dst
+# edge keys from overflowing
 _VERTEX_CAP = 1 << 31
 
 
@@ -107,34 +107,25 @@ def build_graph(n, edges):
         u, v = arr[i]
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
 
-    # one key lo * n + hi per undirected edge, sorted and deduplicated;
-    # lo * (n - 1) + u + v is that key without a second array for hi
+    # both orientations of every non-loop edge as src * n + dst; one sort
+    # orders the rows and, within each row, the neighbors
     u, v = arr[:, 0], arr[:, 1]
-    key = np.minimum(u, v)
-    key *= n - 1
-    key += u
-    key += v
-    loops = u == v
-    if loops.any():
-        key = key[~loops]
-    key.sort()
-    repeat = key[1:] == key[:-1]
-    if repeat.any():
-        key = key[np.concatenate(([True], ~repeat))]
-    del loops, repeat
-    m = key.size
-
-    # both orientations as src * n + dst; one sort orders the rows and,
-    # within each row, the neighbors
-    keys = np.empty(2 * m, np.int64)
-    keys[:m] = key
-    rev = keys[m:]
-    np.remainder(key, n, out=rev)
-    rev *= n
-    key //= n
-    rev += key
-    del key, rev
+    keep = u != v
+    if not keep.all():
+        u, v = u[keep], v[keep]
+    del keep  # freed before the key array, the largest temporary, is allocated
+    k = u.size
+    keys = np.empty(2 * k, np.int64)
+    np.multiply(u, n, out=keys[:k])
+    keys[:k] += v
+    np.multiply(v, n, out=keys[k:])
+    keys[k:] += u
+    del u, v
     keys.sort()
+    keep = keys[1:] != keys[:-1]
+    if not keep.all():
+        keys = keys[np.concatenate(([True], keep))]
+    del keep
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     keys %= n
     return Graph(n, indptr, keys)

@@ -88,10 +88,13 @@ def edge_arrays(draw):
 @example((1, []))
 @example((1, [(0, 0), (0, 0)]))
 @example((3, [(2, 1), (1, 2), (0, 2), (2, 0), (1, 1), (2, 1)]))
+@example((4, [(3, 0), (0, 3), (3, 3), (0, 3), (2, 3), (3, 2), (1, 1)]))
 def test_build_matches_set_reference(case):
     n, edges = case
     ref_indptr, ref_indices = build_graph_reference(n, edges)
-    for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    # C-ordered, Fortran-ordered and a strided view of a wider array
+    for given_edges in (edges, arr, np.asfortranarray(arr), np.hstack((arr, arr))[:, :2]):
         g = build_graph(n, given_edges)
         assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
         assert g.indptr.tolist() == ref_indptr
