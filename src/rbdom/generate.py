@@ -2,8 +2,9 @@
 
 Five models, all driven by numpy's default PRNG: binomial G(n, p) with
 p = avg_deg/n, uniform G(n, m) with m = round(n * avg_deg / 2), Watts-Strogatz
-ring rewiring, random d-regular via the pairing model with restarts, and
-preferential attachment seeded with a clique on ``attach`` vertices (so
+ring rewiring, random d-regular via the pairing model with restarts (the
+complement of a sparser one when 2d > n), and preferential attachment seeded
+with a clique on ``attach`` vertices (so
 m = attach * (n - attach) + attach * (attach - 1) / 2). Outputs are
 deterministic per (parameters, seed) within this implementation; no attempt
 is made to match any other library's edge stream.
@@ -226,14 +227,21 @@ def gen_watts_strogatz(n, d, p, seed):
 
 
 def gen_random_regular(n, d, seed):
-    """Random d-regular simple graph via the pairing model with restarts."""
+    """Random d-regular simple graph via the pairing model with restarts.
+
+    Pairing stalls near the complete graph, so for 2 * d > n the graph is
+    the complement of ``gen_random_regular(n, n - 1 - d, seed)``.
+    """
     if d < 0 or d >= n:
         raise ValueError(f"need 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
+    if 2 * d > n:
+        sparse = gen_random_regular(n, n - 1 - d, seed)
+        free = np.ones((n, n), np.bool_)
+        free[np.repeat(np.arange(n), sparse.degrees()), sparse.indices] = False
+        return build_graph(n, np.argwhere(np.triu(free, 1)))
     rng = np.random.default_rng(seed)
-    if d == 0:
-        return build_graph(n, [])
     while True:
         keys = _pairing_attempt(n, d, rng)
         if keys is not None:

@@ -88,14 +88,17 @@ _VERTEX_CAP = 1 << 31
 def build_graph(n, edges):
     """Build a Graph from an edge list, dropping self-loops and duplicates.
 
-    Raises ValueError if n < 0 or an endpoint falls outside 0..n-1 (the
-    message names the offending pair).
+    Raises ValueError if n < 0, an endpoint is not an integer, or one falls
+    outside 0..n-1 (the message names the offending pair).
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n >= _VERTEX_CAP:
         raise ValueError(f"vertex count {n} exceeds the supported 2^31 limit")
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = np.asarray(edges)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:

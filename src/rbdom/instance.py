@@ -8,6 +8,7 @@ undominated. INFEASIBLE compares greater than every integer.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -53,10 +54,11 @@ def all_blue(g):
 def is_valid_solution(inst, s):
     """True iff every blue vertex lies in the closed neighborhood of s.
 
-    Raises ValueError when s holds a vertex id outside 0..n-1.
+    Raises ValueError when s holds a vertex id outside 0..n-1, and TypeError
+    when it holds one that is not an integer.
     """
     g = inst.graph
-    arr = np.fromiter((int(v) for v in s), dtype=np.int64)
+    arr = np.fromiter(map(operator.index, s), dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= g.n):
         raise ValueError("solution contains out-of-range vertex ids")
     taken = np.zeros(g.n, dtype=np.bool_)
@@ -67,7 +69,7 @@ def is_valid_solution(inst, s):
 
 def ds_value(inst, s):
     """Solution size if s dominates all blue vertices, else INFEASIBLE."""
-    s = set(int(v) for v in s)
+    s = set(map(operator.index, s))
     if is_valid_solution(inst, s):
         return len(s)
     return INFEASIBLE

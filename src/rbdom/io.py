@@ -191,18 +191,15 @@ def parse_matrix_market(text):
             f"line {lineno}: vertex count {rows} exceeds the supported 2^31 limit"
         )
     edges = []
-    entries_seen = 0
     for lineno, parts in records:
         if len(parts) < 2:
             raise ParseError(f"line {lineno}: expected matrix entry")
         i, j = _ints(lineno, parts[:2], "entry indices")
         if not (1 <= i <= rows and 1 <= j <= rows):
             raise ParseError(f"line {lineno}: entry ({i}, {j}) out of range")
-        entries_seen += 1
-        if i != j:
-            edges.append((i - 1, j - 1))
-    if entries_seen != nnz:
-        raise ParseError(f"size line promised {nnz} entries, found {entries_seen}")
+        edges.append((i - 1, j - 1))
+    if len(edges) != nnz:
+        raise ParseError(f"size line promised {nnz} entries, found {len(edges)}")
     if nnz > DENSITY_LIMIT * rows:
         logger.warning(
             "matrix has %d nonzeros > %s x %d rows; outside the sparse regime",

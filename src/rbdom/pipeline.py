@@ -3,10 +3,10 @@
 Both pipelines start from the all-blue instance and apply the isolated rule
 once, then the pendant rule exhaustively. The lossy pipeline additionally
 applies the lossy rule once before handing the reduced instance to the
-drop-in approximator; lifting then replays the recorded add-sets newest
-first. AA/LA denote the lifted solution sizes of the plain and lossy
-pipelines; an instance counts as improved when LA < AA, and its improvement
-percentage is (AA - LA) * 100 / EX.
+drop-in approximator; lifting then unions the recorded add-sets into the
+approximator's solution. AA/LA denote the lifted solution sizes of the plain
+and lossy pipelines; an instance counts as improved when LA < AA, and its
+improvement percentage is (AA - LA) * 100 / EX.
 """
 
 import time
@@ -51,8 +51,9 @@ class AggregateStats:
 def reduce_instance(inst, lossy):
     """Apply isolated once, pendant exhaustively, then optionally lossy once.
 
-    Mutates ``inst`` and returns the replayable trace. The lossy pair map is
-    checked against the pre-rule state; an invalid one raises InvariantError.
+    Mutates ``inst`` and returns the trace of applied records. The lossy pair
+    map is checked against the reduced instance, where its images must still
+    be blue; an invalid one raises InvariantError.
     """
     trace = ReductionTrace()
     rec = rr_isolated(inst)
@@ -60,10 +61,9 @@ def reduce_instance(inst, lossy):
         trace.records.append(rec)
     trace.records.extend(rr_pendant_exhaustive(inst))
     if lossy:
-        before = inst.copy()
         rec = rr_lossy2(inst)
         if rec is not None:
-            if not verify_psi(before, rec.psi):
+            if not verify_psi(inst, rec.psi):
                 raise InvariantError("lossy rule produced an invalid pair map")
             trace.records.append(rec)
     return trace

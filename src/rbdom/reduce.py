@@ -18,7 +18,7 @@ its lifting step must union back into a solution:
   ``verify_psi`` checks with one neighbor count over the images.
 
 Rules never delete vertices or edges, so reduced instances share vertex ids
-with the original and lifting is plain set union, replayed newest-first.
+with the original and lifting is plain set union.
 """
 
 import enum
@@ -45,7 +45,7 @@ class LiftRecord:
 
 @dataclass
 class ReductionTrace:
-    """Applied records in order; lifting replays them in reverse."""
+    """Applied records in order; lifting unions their add-sets."""
 
     records: list = field(default_factory=list)
 
@@ -177,16 +177,17 @@ def rr_lossy2(inst):
     return LiftRecord(RuleKind.LOSSY2, frozenset(images), images)
 
 
-def verify_psi(inst_before, psi):
-    """Check a pair map against the instance state the lossy rule started from.
+def verify_psi(inst, psi):
+    """Check a pair map against the instance the lossy rule produced.
 
     ``psi`` is the plain dict x -> psi(x). True iff the images are distinct,
-    were blue, and lie outside X, no image lies in any N(x), and the images'
-    closed neighborhoods are pairwise disjoint. The last three read one
-    neighbor count: how many image closed neighborhoods contain each vertex
-    (0 at every x, at most 1 everywhere).
+    are blue in ``inst``, and lie outside X, no image lies in any N(x), and
+    the images' closed neighborhoods are pairwise disjoint. The last three
+    read one neighbor count: how many image closed neighborhoods contain each
+    vertex (0 at every x, at most 1 everywhere). Rules only recolor blue to
+    red, so images blue here were blue before the rule as well.
     """
-    g = inst_before.graph
+    g = inst.graph
     xs = np.fromiter(psi, np.int64, len(psi))
     zs = np.fromiter(psi.values(), np.int64, len(psi))
     is_image = np.zeros(g.n, np.bool_)
@@ -194,20 +195,12 @@ def verify_psi(inst_before, psi):
     balls = _neighbor_sums(g, is_image) + is_image
     return bool(
         np.count_nonzero(is_image) == zs.size
-        and inst_before.blue[zs].all()
+        and inst.blue[zs].all()
         and not balls[xs].any()
         and (balls <= 1).all()
     )
 
 
 def lift(trace, s_reduced):
-    """Union the recorded add-sets into a reduced-instance solution.
-
-    Records replay newest-first; because every step is a union the result
-    does not depend on the order, but the reverse order mirrors how the
-    per-rule lifting steps compose.
-    """
-    out = set(int(v) for v in s_reduced)
-    for rec in reversed(trace.records):
-        out |= rec.add_set
-    return out
+    """Union the recorded add-sets into a reduced-instance solution."""
+    return set(map(int, s_reduced)).union(*(rec.add_set for rec in trace.records))

@@ -22,6 +22,7 @@ from rbdom import (
     RuleKind,
     approximate,
     build_graph,
+    rr_lossy2,
 )
 from rbdom.exact import WORK_UNITS_PER_SECOND, _masks
 
@@ -516,6 +517,23 @@ def neighbour_image_lossy(monkeypatch):
 
     def rule(inst):
         return LiftRecord(RuleKind.LOSSY2, frozenset({0}), {0: 1})
+
+    monkeypatch.setattr("rbdom.pipeline.rr_lossy2", rule)
+
+
+@pytest.fixture
+def recoloured_image_lossy(monkeypatch):
+    """Make the pipelines' lossy rule run as usual, then turn its first image red.
+
+    The pair map is valid on the instance the rule started from, but a red
+    image no longer bounds |X| by the reduced optimum, so the pipelines' psi
+    check, made on the reduced instance, must reject it.
+    """
+
+    def rule(inst):
+        rec = rr_lossy2(inst)
+        inst.blue[next(iter(rec.psi.values()))] = False
+        return rec
 
     monkeypatch.setattr("rbdom.pipeline.rr_lossy2", rule)
 

@@ -18,7 +18,7 @@ from rbdom import (
 
 from rbdom.generate import _MAX_BLOCK, _Draws, _gnp_edges
 
-from conftest import gen_gnp_reference
+from conftest import complete_graph, gen_gnp_reference
 
 
 def test_gnp_rejects_bad_params():
@@ -122,6 +122,23 @@ def test_dreg_degree_histogram():
 
 def test_dreg_deterministic():
     assert gen_random_regular(100, 4, 6) == gen_random_regular(100, 4, 6)
+
+
+def test_dreg_complete_graph():
+    assert gen_random_regular(40, 39, 1) == complete_graph(40)
+    assert gen_random_regular(40, 0, 1).m == 0
+
+
+@pytest.mark.parametrize("n, d", [(100, 90), (34, 31), (9, 6)])
+def test_dreg_dense(n, d):
+    # 2 * d > n: the complement of a sparse regular graph on the same seed
+    g = gen_random_regular(n, d, 3)
+    assert np.diff(g.indptr).tolist() == [d] * n
+    check_graph_invariants(g)
+    assert g == gen_random_regular(n, d, 3)
+    sparse = gen_random_regular(n, n - 1 - d, 3)
+    both = np.concatenate((g.edge_array(), sparse.edge_array()))
+    assert build_graph(n, both).m == n * (n - 1) // 2
 
 
 def test_ba_tree_when_attach_one():

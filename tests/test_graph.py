@@ -57,6 +57,20 @@ def test_build_rejects_out_of_range():
         build_graph(3, [(0, 1), (1, 5)])
 
 
+@pytest.mark.parametrize(
+    "edges", [[(0.5, 1.7)], [("0", "1")], [(0, 2**70)], np.array([[0.0, 1.0]])]
+)
+def test_build_rejects_non_integer_ids(edges):
+    with pytest.raises(ValueError, match="integers"):
+        build_graph(3, edges)
+
+
+def test_build_takes_any_integer_dtype():
+    for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+        g = build_graph(3, np.array([[0, 1], [2, 1]], dtype))
+        assert g == build_graph(3, [(0, 1), (1, 2)])
+
+
 def test_build_empty():
     g = build_graph(0, [])
     assert g.n == 0 and g.m == 0

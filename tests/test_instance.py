@@ -47,6 +47,16 @@ def test_solution_vertices_must_be_in_range():
         is_valid_solution(p3, {5})
 
 
+def test_solution_vertices_must_be_integers():
+    p3 = all_blue(path_graph(3))
+    for s in ({1.5}, {"1"}):
+        with pytest.raises(TypeError):
+            is_valid_solution(p3, s)
+        with pytest.raises(TypeError):
+            ds_value(p3, s)
+    assert is_valid_solution(p3, {np.int64(1)})
+
+
 def test_validity_monotone_under_supersets(rng):
     for _ in range(30):
         g = random_graph(rng)

@@ -74,6 +74,13 @@ def test_run_exp_la_rejects_invalid_pair_map(neighbour_image_lossy):
         run_exp_la(cycle_graph(6))
 
 
+def test_pair_map_checked_on_the_reduced_instance(recoloured_image_lossy):
+    with pytest.raises(InvariantError, match="pair map"):
+        reduce_instance(all_blue(cycle_graph(6)), lossy=True)
+    with pytest.raises(InvariantError, match="pair map"):
+        run_exp_la(cycle_graph(6))
+
+
 def test_improvement_pct_appendix_rows():
     assert improvement_pct(254, 238, 194) == pytest.approx(8.2474, abs=1e-4)
     assert improvement_pct(498, 467, 306) == pytest.approx(10.1307, abs=1e-4)
