@@ -8,22 +8,24 @@ stack: it branches on a blue vertex that is hardest to dominate (smallest
 closed neighborhood), trying the vertices of its ball lowest first, prunes
 with a packing lower bound (blue vertices with pairwise-disjoint closed
 neighborhoods, each forcing one distinct solution vertex), and starts from
-the greedy incumbent. The blue vertices are grouped into one mask per ball
-size, so both the branch vertex and the packing are found a size class at
-a time, and the packing blocks each pick's distance-2 mask, built on first
-use. A frame keeps the dominated and banned masks, the work and the vertex
-taken at its node, so backtracking resumes from the frame with no state to
-undo. The search budget is a deterministic work counter derived from the
-requested time limit, so repeated runs return identical results; see
-WORK_UNITS_PER_SECOND.
+a greedy incumbent that it computes on its own bitsets: a lazy greedy
+(Minoux 1978) that recounts a vertex's blue cover only when it reaches the
+top of the heap, and so takes exactly the picks of
+``approximate(inst, GREEDY_COVER)``. The blue vertices are grouped into one
+mask per ball size, so both the branch vertex and the packing are found a
+size class at a time, and the packing blocks each pick's distance-2 mask,
+built on first use. A frame keeps the dominated and banned masks, the
+work and the vertex taken at its node, so backtracking resumes from the
+frame with no state to undo. The search budget is a deterministic work
+counter derived from the requested time limit, so repeated runs return
+identical results; see WORK_UNITS_PER_SECOND.
 """
 
+import heapq
 import math
 from itertools import combinations
 
 import numpy as np
-
-from .approx import Approximator, approximate
 
 # Work units granted per second of time budget. A unit is one vertex of a
 # closed neighborhood touched by the search: a fixed, deterministic measure
@@ -31,9 +33,10 @@ from .approx import Approximator, approximate
 # vertices plus one, and, when it computes a packing bound, the summed ball
 # sizes of its undominated blue vertices, whether or not the bound stops
 # early. On perfbench's exact-small workload the bitset search spends about
-# 13 million units per second (CPython 3.11, 2 vCPU x86-64), so a budget
-# runs out long before its nominal time. Recalibrating changes which
-# searches finish, and so the results.
+# 39 million units per second (CPython 3.11, 2 vCPU x86-64; exact.units_per_s
+# of `python3 perfbench/run.py --workload exact-small --seed 777 --seconds 25
+# --trace 1`), so a budget runs out long before its nominal time.
+# Recalibrating changes which searches finish, and so the results.
 WORK_UNITS_PER_SECOND = 300_000
 
 BRUTE_FORCE_LIMIT = 24
@@ -56,6 +59,30 @@ def _masks(inst):
             b |= 1 << u
         ball.append(b)
     return ball, _bitset(inst.blue)
+
+
+def _greedy_cover(ball, blue):
+    """Greedy blue cover on bitsets: GREEDY_COVER's picks, in pick order.
+
+    Takes the vertex whose ball holds the most blue vertices, lowest id on
+    ties, until no blue vertex is left. The heap holds ``(-cover, v)`` keys
+    that may be stale; covers only fall, so a top whose recount matches its
+    key is the true maximum, and a stale top is re-keyed in place. A key of
+    0 never reaches the top while some vertex still covers a blue one.
+    """
+    heap = [(-(b & blue).bit_count(), v) for v, b in enumerate(ball)]
+    heapq.heapify(heap)
+    picks = []
+    while blue:
+        key, v = heap[0]
+        cover = (ball[v] & blue).bit_count()
+        if cover == -key:
+            picks.append(v)
+            blue &= ~ball[v]
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (-cover, v))
+    return picks
 
 
 class _Distance2(dict):
@@ -139,12 +166,12 @@ def exact_min(inst, time_budget=30.0):
         raise ValueError(
             f"time budget must be a positive finite number, got {time_budget}"
         )
-    best = sorted(approximate(inst, Approximator.GREEDY_COVER))
+    g = inst.graph
+    ball, blue = _masks(inst)
+    best = _greedy_cover(ball, blue)
     best_size = len(best)
     left = max(10_000, int(time_budget * WORK_UNITS_PER_SECOND))
 
-    g = inst.graph
-    ball, blue = _masks(inst)
     sizes = np.diff(g.indptr) + 1
     ball_size = sizes.tolist()
     # one mask of blue vertices per ball size, smallest first

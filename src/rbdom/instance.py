@@ -58,7 +58,10 @@ def is_valid_solution(inst, s):
     when it holds one that is not an integer.
     """
     g = inst.graph
-    arr = np.fromiter(map(operator.index, s), dtype=np.int64)
+    try:
+        arr = np.fromiter(map(operator.index, s), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("solution contains vertex ids outside int64") from None
     if arr.size and (arr.min() < 0 or arr.max() >= g.n):
         raise ValueError("solution contains out-of-range vertex ids")
     taken = np.zeros(g.n, dtype=np.bool_)

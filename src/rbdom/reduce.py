@@ -23,6 +23,7 @@ with the original and lifting is plain set union.
 
 import enum
 import heapq
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,5 +203,8 @@ def verify_psi(inst, psi):
 
 
 def lift(trace, s_reduced):
-    """Union the recorded add-sets into a reduced-instance solution."""
-    return set(map(int, s_reduced)).union(*(rec.add_set for rec in trace.records))
+    """Union the recorded add-sets into a reduced-instance solution.
+
+    Raises TypeError when s_reduced holds an id that is not an integer.
+    """
+    return set(map(operator.index, s_reduced)).union(*(rec.add_set for rec in trace.records))

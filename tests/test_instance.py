@@ -43,8 +43,9 @@ def test_infeasible_orders_above_every_integer():
 
 def test_solution_vertices_must_be_in_range():
     p3 = all_blue(path_graph(3))
-    with pytest.raises(ValueError):
-        is_valid_solution(p3, {5})
+    for s in ({5}, {2**63}, {2**70}, {-2**70}):
+        with pytest.raises(ValueError):
+            is_valid_solution(p3, s)
 
 
 def test_solution_vertices_must_be_integers():

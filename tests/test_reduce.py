@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -226,6 +227,11 @@ def test_lift_identity_and_union():
         iter(rr_pendant_exhaustive(all_blue(build_graph(2, [(0, 1)]))))
     )
     assert lift(ReductionTrace([rec]), set()) == {1}
+    inst = all_blue(path_graph(4))
+    trace = reduce_instance(inst, lossy=False)
+    assert lift(trace, {np.int64(0)}) == {0, 1, 2}
+    with pytest.raises(TypeError):
+        lift(trace, {1.5})
 
 
 @settings(max_examples=200)
