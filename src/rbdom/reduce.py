@@ -63,7 +63,7 @@ def rr_isolated(inst):
     if iso.size == 0:
         return None
     inst.blue[iso] = False
-    return LiftRecord(RuleKind.ISOLATED, frozenset(int(v) for v in iso))
+    return LiftRecord(RuleKind.ISOLATED, frozenset(iso.tolist()))
 
 
 def rr_pendant_exhaustive(inst):
@@ -80,11 +80,10 @@ def rr_pendant_exhaustive(inst):
     records = []
     for v in np.flatnonzero((g.degrees() == 1) & blue).tolist():
         if blue[v]:
-            u = indices[indptr[v]]
-            records.append(LiftRecord(RuleKind.PENDANT, frozenset((int(u),))))
+            u = int(indices[indptr[v]])
+            records.append(LiftRecord(RuleKind.PENDANT, frozenset((u,))))
             blue[u] = False
-            for idx in range(indptr[u], indptr[u + 1]):
-                blue[indices[idx]] = False
+            blue[indices[indptr[u] : indptr[u + 1]]] = False
     return records
 
 

@@ -174,6 +174,10 @@ def build_graph_reference(n, edges):
 def gen_gnp_reference(n, avg_deg, seed, block=None):
     """gen_gnp as whole-array expressions, the form the in-place version replaced.
 
+    Pair indices decode by a float square root with integer corrections, not
+    by gen_gnp's lookup in the triangular numbers, so the two decodes check
+    each other.
+
     ``block`` overrides the draws per ``rng.random`` call, which the public
     function fixes at 1.2 times the expected edge count; a small block makes
     the multi-block path reachable.

@@ -374,9 +374,28 @@ def test_gnp_multi_block_matches_reference(n, share, seed, block):
     # gen_gnp's own block covers all pairs in one draw; a small one needs many
     avg_deg = share * n
     p = avg_deg / n
-    total = n * (n - 1) // 2
-    g = build_graph(n, _gnp_edges(total, p, seed, block))
+    g = build_graph(n, _gnp_edges(n, p, seed, block))
     assert g == gen_gnp_reference(n, avg_deg, seed, block=block)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 2000])
+def test_gnp_near_one_is_complete(n):
+    # p just below 1 keeps every pair, so every pair index and every
+    # triangular boundary is decoded
+    k = complete_graph(n)
+    for seed in (0, 1, 2):
+        assert gen_gnp(n, n - 1e-9, seed) == k
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gnp_decode_at_large_b(seed):
+    n = 3_000_000
+    total = n * (n - 1) // 2
+    edges = _gnp_edges(n, 2000 / total, seed, 4096)
+    a, b = edges[:, 0], edges[:, 1]
+    assert edges.shape[0] > 0
+    assert ((0 <= a) & (a < b) & (b < n)).all()
+    assert (np.diff(b * (b - 1) // 2 + a) > 0).all()
 
 
 # a call list holds None for uniform() and k for below(k)

@@ -7,8 +7,11 @@ MiB). The whole-array forms these layers replaced peaked at 8.2 (gen_gnp),
 CSR; the ratios hold steady from n = 5,000 to n = 50,000. A build_graph that
 sorted undirected keys before it sorted both orientations peaked at 1.43, and
 at 2.38 inside gen_gnp and parse_edge_list; one sort of the directed keys
-takes these to 1.07, 2.08 and 2.02. A neighbor sum that gathered into a
-temporary before its prefix sum peaked at 2.0.
+takes these to 1.07, 2.08 and 2.02. Decoding gen_gnp's pair indices by a
+lookup in the triangular numbers, gathered in place, takes it to 2.05; the
+same gather into the strided output column holds one more m-entry array and
+peaks at 2.52. A neighbor sum that gathered into a temporary before its
+prefix sum peaked at 2.0.
 
 The list-built generators are held to the same unit. With their edges kept
 as lists of tuples and one numpy scalar call per draw, Watts-Strogatz,
