@@ -16,7 +16,7 @@ from .graph import (
     check_graph_invariants,
     degeneracy_order,
 )
-from .instance import INFEASIBLE, RBInstance, all_blue, ds_value, is_valid_solution
+from .instance import RBInstance, all_blue, is_valid_solution
 from .io import (
     ParseError,
     UnsupportedFormatError,
@@ -39,7 +39,6 @@ from .pipeline import (
 from .reduce import (
     LiftRecord,
     ReductionTrace,
-    RuleKind,
     lift,
     rr_isolated,
     rr_lossy2,
@@ -54,13 +53,11 @@ __all__ = [
     "AggregateStats",
     "Approximator",
     "Graph",
-    "INFEASIBLE",
     "InvariantError",
     "LiftRecord",
     "ParseError",
     "RBInstance",
     "ReductionTrace",
-    "RuleKind",
     "RunReport",
     "UnsupportedFormatError",
     "aggregate",
@@ -70,7 +67,6 @@ __all__ = [
     "build_graph",
     "check_graph_invariants",
     "degeneracy_order",
-    "ds_value",
     "exact_min",
     "gen_barabasi_albert",
     "gen_gnm",

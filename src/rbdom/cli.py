@@ -63,7 +63,6 @@ def _build_parser():
     p.add_argument("--csv", required=True)
     p.add_argument("--approx", choices=approx_choices, default="greedy")
     p.add_argument("--time-limit", type=float, default=30.0)
-    p.add_argument("--category", default=None)
     p.add_argument("--no-exact", action="store_true")
 
     p = sub.add_parser("verify", help="run the invariant suite on a graph")
@@ -117,11 +116,14 @@ def _graph_files(directory):
 
 def _cmd_exp(args):
     files = _graph_files(args.dir)
-    category = args.category or Path(args.dir).resolve().name
+    category = Path(args.dir).resolve().name
     reports = []
     total_aa = total_la = 0.0
     for path in files:
-        g = load_graph(path)
+        try:
+            g = load_graph(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         report, aa_s, la_s = run_instance(
             path.stem,
             g,

@@ -47,18 +47,21 @@ def _bitset(flags):
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _masks(inst):
-    """Closed-neighborhood bitmask of every vertex, and the blue bitmask."""
-    g = inst.graph
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
+def _balls(indptr, indices):
+    """Closed-neighborhood bitmask of every vertex, from the CSR as lists."""
     ball = []
-    for v in range(g.n):
+    for v in range(len(indptr) - 1):
         b = 1 << v
         for u in indices[indptr[v] : indptr[v + 1]]:
             b |= 1 << u
         ball.append(b)
-    return ball, _bitset(inst.blue)
+    return ball
+
+
+def _masks(inst):
+    """Closed-neighborhood bitmask of every vertex, and the blue bitmask."""
+    g = inst.graph
+    return _balls(g.indptr.tolist(), g.indices.tolist()), _bitset(inst.blue)
 
 
 def _greedy_cover(ball, blue):
@@ -88,9 +91,9 @@ def _greedy_cover(ball, blue):
 class _Distance2(dict):
     """Distance-2 masks, built on first use: N[N[v]], the w whose ball meets N[v]."""
 
-    def __init__(self, graph, ball):
-        self.indptr = graph.indptr.tolist()
-        self.indices = graph.indices.tolist()
+    def __init__(self, indptr, indices, ball):
+        self.indptr = indptr
+        self.indices = indices
         self.ball = ball
 
     def __missing__(self, v):
@@ -167,7 +170,8 @@ def exact_min(inst, time_budget=30.0):
             f"time budget must be a positive finite number, got {time_budget}"
         )
     g = inst.graph
-    ball, blue = _masks(inst)
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    ball, blue = _balls(indptr, indices), _bitset(inst.blue)
     best = _greedy_cover(ball, blue)
     best_size = len(best)
     left = max(10_000, int(time_budget * WORK_UNITS_PER_SECOND))
@@ -176,7 +180,7 @@ def exact_min(inst, time_budget=30.0):
     ball_size = sizes.tolist()
     # one mask of blue vertices per ball size, smallest first
     classes = [_bitset(inst.blue & (sizes == s)) for s in np.unique(sizes[inst.blue])]
-    dist2 = _Distance2(g, ball)
+    dist2 = _Distance2(indptr, indices, ball)
 
     # the work of a node is the summed ball size of its undominated blue vertices
     work = int(sizes[inst.blue].sum())

@@ -1,20 +1,15 @@
-"""Red-blue dominating set instances and the solution objective.
+"""Red-blue dominating set instances and the solution check.
 
 An instance is a graph plus a per-vertex color: blue vertices still need to
 be dominated, red ones are already taken care of (but may still serve as
-dominators). Solutions are plain vertex sets over the original graph; the
-objective is the solution size, or INFEASIBLE when some blue vertex is left
-undominated. INFEASIBLE compares greater than every integer.
+dominators). Solutions are plain vertex sets over the original graph.
 """
 
-import math
 import operator
 
 import numpy as np
 
 from .graph import _neighbor_sums
-
-INFEASIBLE = math.inf
 
 
 class RBInstance:
@@ -68,11 +63,3 @@ def is_valid_solution(inst, s):
     taken[arr] = True
     dominated = taken | (_neighbor_sums(g, taken) > 0)
     return bool((dominated | ~inst.blue).all())
-
-
-def ds_value(inst, s):
-    """Solution size if s dominates all blue vertices, else INFEASIBLE."""
-    s = set(map(operator.index, s))
-    if is_valid_solution(inst, s):
-        return len(s)
-    return INFEASIBLE

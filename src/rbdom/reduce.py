@@ -21,7 +21,6 @@ Rules never delete vertices or edges, so reduced instances share vertex ids
 with the original and lifting is plain set union.
 """
 
-import enum
 import heapq
 import operator
 from dataclasses import dataclass, field
@@ -31,15 +30,8 @@ import numpy as np
 from .graph import _ID_MASK, _neighbor_sums
 
 
-class RuleKind(enum.Enum):
-    ISOLATED = "isolated"
-    PENDANT = "pendant"
-    LOSSY2 = "lossy2"
-
-
 @dataclass(frozen=True)
 class LiftRecord:
-    kind: RuleKind
     add_set: frozenset
     psi: dict | None = None  # lossy rule only: x -> psi(x), in pick order
 
@@ -63,7 +55,7 @@ def rr_isolated(inst):
     if iso.size == 0:
         return None
     inst.blue[iso] = False
-    return LiftRecord(RuleKind.ISOLATED, frozenset(iso.tolist()))
+    return LiftRecord(frozenset(iso.tolist()))
 
 
 def rr_pendant_exhaustive(inst):
@@ -81,7 +73,7 @@ def rr_pendant_exhaustive(inst):
     for v in np.flatnonzero((g.degrees() == 1) & blue).tolist():
         if blue[v]:
             u = int(indices[indptr[v]])
-            records.append(LiftRecord(RuleKind.PENDANT, frozenset((u,))))
+            records.append(LiftRecord(frozenset((u,))))
             blue[u] = False
             blue[indices[indptr[u] : indptr[u + 1]]] = False
     return records
@@ -174,7 +166,7 @@ def rr_lossy2(inst):
     inst.blue[:] = np.frombuffer(blue, np.bool_)
     if not images:
         return None
-    return LiftRecord(RuleKind.LOSSY2, frozenset(images), images)
+    return LiftRecord(frozenset(images), images)
 
 
 def verify_psi(inst, psi):

@@ -19,7 +19,6 @@ from rbdom import (
     LiftRecord,
     ParseError,
     RBInstance,
-    RuleKind,
     approximate,
     build_graph,
     rr_lossy2,
@@ -520,7 +519,7 @@ def neighbour_image_lossy(monkeypatch):
     """
 
     def rule(inst):
-        return LiftRecord(RuleKind.LOSSY2, frozenset({0}), {0: 1})
+        return LiftRecord(frozenset({0}), {0: 1})
 
     monkeypatch.setattr("rbdom.pipeline.rr_lossy2", rule)
 

@@ -190,6 +190,15 @@ def test_exp_bit_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_exp_read_error_names_the_file(tmp_path, capsys):
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    (cases / "a.el").write_text(write_edge_list(path_graph(4)))
+    (cases / "b.el").write_text("4 2\n0 1\n1 x\n")
+    assert cli_main(["exp", "--dir", str(cases), "--csv", str(tmp_path / "x.csv")]) == 1
+    assert f"error: {cases / 'b.el'}: line 3: non-integer" in capsys.readouterr().err
+
+
 def test_exp_empty_dir(tmp_path, capsys):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -228,6 +237,12 @@ def test_package_needs_only_numpy():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(rbdom.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its object is gone fails the star import
+    env = {**os.environ, "PYTHONPATH": str(Path(rbdom.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", "from rbdom import *"], check=True, env=env)
 
 
 def test_benchmark_modules_import():

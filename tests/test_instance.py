@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbdom import (
-    INFEASIBLE,
-    RBInstance,
-    all_blue,
-    build_graph,
-    ds_value,
-    is_valid_solution,
-)
+from rbdom import RBInstance, all_blue, build_graph, is_valid_solution
 
 from conftest import closed_sets, coloured_instances, cycle_graph, path_graph, random_graph
 
@@ -29,18 +22,6 @@ def test_is_valid_solution_examples():
     assert is_valid_solution(all_red, set())
 
 
-def test_ds_value_examples():
-    p3 = all_blue(path_graph(3))
-    assert ds_value(p3, {1}) == 1
-    assert ds_value(p3, {0, 2}) == 2
-    assert ds_value(p3, {0}) == INFEASIBLE
-
-
-def test_infeasible_orders_above_every_integer():
-    assert INFEASIBLE > 10**18
-    assert not INFEASIBLE < 0
-
-
 def test_solution_vertices_must_be_in_range():
     p3 = all_blue(path_graph(3))
     for s in ({5}, {2**63}, {2**70}, {-2**70}):
@@ -53,8 +34,6 @@ def test_solution_vertices_must_be_integers():
     for s in ({1.5}, {"1"}):
         with pytest.raises(TypeError):
             is_valid_solution(p3, s)
-        with pytest.raises(TypeError):
-            ds_value(p3, s)
     assert is_valid_solution(p3, {np.int64(1)})
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rbdom import (
     RBInstance,
     ReductionTrace,
-    RuleKind,
     all_blue,
     approximate,
     build_graph,
@@ -37,7 +36,7 @@ def test_isolated_recolors_all():
     g = build_graph(3, [])
     inst = all_blue(g)
     rec = rr_isolated(inst)
-    assert rec.kind is RuleKind.ISOLATED
+    assert rec.psi is None
     assert rec.add_set == {0, 1, 2}
     assert inst.blue_count == 0
     assert lift(ReductionTrace([rec]), set()) == {0, 1, 2}
