@@ -102,10 +102,11 @@ def approximate(inst, which=Approximator.GREEDY_COVER):
     Repeatedly picks the vertex whose closed neighborhood contains the most
     blue vertices and recolors that neighborhood. GREEDY_COVER breaks ties
     toward the lowest vertex id; DEGENERACY_GUIDED toward the earliest
-    position in the degeneracy ordering. Returns a valid solution set.
+    position in the degeneracy ordering. ``which`` is a member or its value;
+    any other value raises ValueError. Returns a valid solution set.
     """
     g = inst.graph
-    if which is Approximator.DEGENERACY_GUIDED:
+    if Approximator(which) is Approximator.DEGENERACY_GUIDED:
         untie, _ = degeneracy_order(g)
         tie = np.empty(g.n, dtype=np.int64)
         tie[untie] = np.arange(g.n, dtype=np.int64)

@@ -20,7 +20,7 @@ from .generate import (
 )
 from .graph import InvariantError, check_graph_invariants
 from .instance import all_blue
-from .io import load_graph, write_edge_list, write_report_csv
+from .io import format_ex, format_pct, load_graph, write_edge_list, write_report_csv
 from .pipeline import aggregate, run_exp_aa, run_exp_la, run_instance
 
 
@@ -90,13 +90,12 @@ def _print_solution(label, sol):
 
 def _cmd_solve(args):
     g = load_graph(args.input)
-    approx = Approximator(args.approx)
     if args.mode == "aa":
-        _print_solution("AA", run_exp_aa(g, approx))
+        _print_solution("AA", run_exp_aa(g, args.approx))
     elif args.mode == "la":
-        _print_solution("LA", run_exp_la(g, approx))
+        _print_solution("LA", run_exp_la(g, args.approx))
     elif args.mode == "greedy":
-        _print_solution("GREEDY", approximate(all_blue(g), approx))
+        _print_solution("GREEDY", approximate(all_blue(g), args.approx))
     else:
         sol, proven, lb = exact_min(all_blue(g), args.time_limit)
         print(f"EX={len(sol)} proven={str(proven).lower()} lb={lb}")
@@ -127,7 +126,7 @@ def _cmd_exp(args):
         report, aa_s, la_s = run_instance(
             path.stem,
             g,
-            approx=Approximator(args.approx),
+            approx=args.approx,
             time_limit=None if args.no_exact else args.time_limit,
         )
         reports.append(report)
@@ -135,15 +134,15 @@ def _cmd_exp(args):
         total_la += la_s
         print(
             f"{report.id}: n={report.n} m={report.m} "
-            f"aa={report.aa} la={report.la} ex={report.ex} "
+            f"aa={report.aa} la={report.la} ex={format_ex(report)} "
             f"aa_s={aa_s:.3f} la_s={la_s:.3f}"
         )
     stats = aggregate(reports, category)
     write_report_csv(reports, args.csv, aggregates=[stats])
-    avg = "--" if stats.avg_imprv is None else f"{stats.avg_imprv:.2f}"
     print(
         f"{category}: {stats.count} instances, "
-        f"{stats.pct_improved:.2f}% improved, avg imprv {avg}"
+        f"{format_pct(stats.pct_improved)}% improved, "
+        f"avg imprv {format_pct(stats.avg_imprv)}"
     )
     print(f"pipeline seconds: aa={total_aa:.3f} la={total_la:.3f}")
     print(f"wrote {args.csv}")

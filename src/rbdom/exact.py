@@ -13,14 +13,16 @@ a greedy incumbent that it computes on its own bitsets: a lazy greedy
 top of the heap, and so takes exactly the picks of
 ``approximate(inst, GREEDY_COVER)``. The blue vertices are grouped into one
 mask per ball size, so both the branch vertex and the packing are found a
-size class at a time, and the packing blocks each pick's distance-2 mask,
-built on first use. A frame keeps the dominated and banned masks, the
-work and the vertex taken at its node, so backtracking resumes from the
-frame with no state to undo. The search budget is a deterministic work
-counter derived from the requested time limit, so repeated runs return
-identical results; see WORK_UNITS_PER_SECOND.
+size class at a time, and the packing blocks each pick's distance-2 mask
+from ``dist2``, a ``functools.cache`` function local to ``exact_min`` that
+builds a vertex's mask on first use. A frame keeps the dominated and
+banned masks, the work and the vertex taken at its node, so backtracking
+resumes from the frame with no state to undo. The search budget is a
+deterministic work counter derived from the requested time limit, so
+repeated runs return identical results; see WORK_UNITS_PER_SECOND.
 """
 
+import functools
 import heapq
 import math
 from itertools import combinations
@@ -88,23 +90,6 @@ def _greedy_cover(ball, blue):
     return picks
 
 
-class _Distance2(dict):
-    """Distance-2 masks, built on first use: N[N[v]], the w whose ball meets N[v]."""
-
-    def __init__(self, indptr, indices, ball):
-        self.indptr = indptr
-        self.indices = indices
-        self.ball = ball
-
-    def __missing__(self, v):
-        ball = self.ball
-        reach = ball[v]
-        for u in self.indices[self.indptr[v] : self.indptr[v + 1]]:
-            reach |= ball[u]
-        self[v] = reach
-        return reach
-
-
 def brute_force_min(inst):
     """Minimum solution by subset enumeration, smallest size first.
 
@@ -138,7 +123,7 @@ def _packing_lower_bound(classes, start, dom, cap, dist2):
     undominated vertex. The greedy takes blue vertices by ball size, ties by
     id, skipping any whose ball meets an earlier pick's: within a class it
     takes the lowest bit not yet blocked, then blocks the pick's distance-2
-    mask ``dist2[v]``, which holds exactly the vertices whose balls meet
+    mask ``dist2(v)``, which holds exactly the vertices whose balls meet
     N[v]. Counting stops once it reaches ``cap``, which is enough to prune.
     """
     count = 0
@@ -150,7 +135,7 @@ def _packing_lower_bound(classes, start, dom, cap, dist2):
             count += 1
             if count >= cap:
                 return count
-            reach = dist2[v]
+            reach = dist2(v)
             blocked |= reach
             free &= ~reach
     return count
@@ -180,7 +165,13 @@ def exact_min(inst, time_budget=30.0):
     ball_size = sizes.tolist()
     # one mask of blue vertices per ball size, smallest first
     classes = [_bitset(inst.blue & (sizes == s)) for s in np.unique(sizes[inst.blue])]
-    dist2 = _Distance2(indptr, indices, ball)
+
+    @functools.cache
+    def dist2(v):
+        reach = ball[v]
+        for u in indices[indptr[v] : indptr[v + 1]]:
+            reach |= ball[u]
+        return reach
 
     # the work of a node is the summed ball size of its undominated blue vertices
     work = int(sizes[inst.blue].sum())

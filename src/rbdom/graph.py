@@ -191,19 +191,24 @@ def degeneracy_order(g):
 def check_graph_invariants(g):
     """Raise InvariantError unless g is a well-formed simple graph.
 
-    After the shape, range, self-loop and row-order checks, g is symmetric
-    exactly when ``build_graph`` rebuilds it unchanged from its own entries:
-    the rebuild adds every missing reverse entry.
+    After the dtype, shape, range, self-loop and row-order checks, g is
+    symmetric exactly when ``build_graph`` rebuilds it unchanged from its
+    own entries: the rebuild adds every missing reverse entry.
     """
+    if g.indptr.dtype.kind not in "iu" or g.indices.dtype.kind not in "iu":
+        raise InvariantError("indptr and indices must have integer dtypes")
     if g.indptr.shape[0] != g.n + 1 or g.indptr[0] != 0:
         raise InvariantError("indptr shape/start mismatch")
+    row_sizes = np.diff(g.indptr)
+    if (row_sizes < 0).any():
+        raise InvariantError("indptr decreases")
     if g.indptr[-1] != g.indices.shape[0]:
         raise InvariantError("indptr end does not match indices length")
     if 2 * g.m != g.indices.shape[0]:
         raise InvariantError("edge count inconsistent with adjacency size")
     if g.indices.size and (g.indices.min() < 0 or g.indices.max() >= g.n):
         raise InvariantError("neighbor id out of range")
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    src = np.repeat(np.arange(g.n, dtype=np.int64), row_sizes)
     if (src == g.indices).any():
         raise InvariantError("self-loop present")
     # strictly increasing within each row: the only non-increases in the

@@ -224,7 +224,8 @@ def round_half_up(value):
     return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _format_ex(report):
+def format_ex(report):
+    """A report's exact value: '--' when absent, '~' before an unproven one."""
     if report.ex is None:
         return "--"
     if not report.ex_proven:
@@ -232,10 +233,11 @@ def _format_ex(report):
     return str(report.ex)
 
 
-def _format_imprv(report):
-    if report.imprv is None:
+def format_pct(value):
+    """A percentage with two decimals, rounded half-up; '--' for None."""
+    if value is None:
         return "--"
-    return f"{round_half_up(report.imprv):.2f}"
+    return f"{round_half_up(value):.2f}"
 
 
 def write_report_csv(rows, path, aggregates=None):
@@ -244,9 +246,9 @@ def write_report_csv(rows, path, aggregates=None):
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["id", "n", "m", "ex", "aa", "la", "imprv"])
         for r in rows:
-            out.writerow([r.id, r.n, r.m, _format_ex(r), r.aa, r.la, _format_imprv(r)])
+            out.writerow([r.id, r.n, r.m, format_ex(r), r.aa, r.la, format_pct(r.imprv)])
         for agg in aggregates or []:
-            pct = f"{round_half_up(agg.pct_improved):.2f}"
-            avg = "--" if agg.avg_imprv is None else f"{round_half_up(agg.avg_imprv):.2f}"
             fh.write("# ")
-            out.writerow([agg.category, agg.count, pct, avg])
+            out.writerow(
+                [agg.category, agg.count, format_pct(agg.pct_improved), format_pct(agg.avg_imprv)]
+            )

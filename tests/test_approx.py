@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from rbdom import (
     Approximator,
@@ -85,6 +86,17 @@ def test_matches_reference_greedy(rng):
         reduced = all_blue(g)
         reduce_instance(reduced, lossy=True)
         _check_against_reference(g, (np.ones(g.n, dtype=bool), reduced.blue))
+
+
+def test_drop_in_named_by_its_value():
+    # on this graph the two tie rules pick different sets of the same size
+    inst = all_blue(gen_gnp(300, 6.0, 1))
+    for which in Approximator:
+        assert approximate(inst, which.value) == approximate(inst, which)
+    assert approximate(inst, "degeneracy") != approximate(inst, Approximator.GREEDY_COVER)
+    for bad in ("nonsense", "GREEDY_COVER", None):
+        with pytest.raises(ValueError, match="not a valid Approximator"):
+            approximate(inst, bad)
 
 
 def test_output_always_valid_and_deterministic(rng):

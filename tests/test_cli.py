@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import rbdom
-from rbdom import build_graph, write_edge_list
+from rbdom import AggregateStats, build_graph, gen_gnp, write_edge_list
 from rbdom.cli import cli_main
 
 from conftest import cycle_graph, path_graph, star_graph
@@ -177,6 +177,31 @@ def test_exp_current_directory_names_category(tmp_path, monkeypatch, capsys):
     assert cli_main(["exp", "--dir", ".", "--csv", str(csv), "--no-exact"]) == 0
     assert csv.read_text().splitlines()[-1].startswith("# cases,1,")
     assert "cases: 1 instances" in capsys.readouterr().out
+
+
+def test_exp_prints_ex_as_the_csv_writes_it(tmp_path, capsys):
+    # absent: --no-exact; unproven: a budget too small to finish this search
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    (cases / "g.el").write_text(write_edge_list(gen_gnp(60, 4.0, 2)))
+    csv = tmp_path / "out.csv"
+    for flags, ex in ((["--no-exact"], "--"), (["--time-limit", "0.001"], "~17")):
+        assert cli_main(["exp", "--dir", str(cases), "--csv", str(csv), *flags]) == 0
+        assert f" ex={ex} " in capsys.readouterr().out
+        assert csv.read_text().splitlines()[1].split(",")[3] == ex
+
+
+def test_exp_summary_rounds_half_up_as_the_csv_does(tmp_path, monkeypatch, capsys):
+    # 3.125 is exact in binary, so round-half-even formatting would print 3.12
+    stats = AggregateStats("cases", 32, 3.125, 3.125)
+    monkeypatch.setattr("rbdom.cli.aggregate", lambda reports, category: stats)
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    (cases / "p7.el").write_text(write_edge_list(path_graph(7)))
+    csv = tmp_path / "out.csv"
+    assert cli_main(["exp", "--dir", str(cases), "--csv", str(csv), "--no-exact"]) == 0
+    assert "cases: 32 instances, 3.13% improved, avg imprv 3.13" in capsys.readouterr().out
+    assert csv.read_text().splitlines()[-1] == "# cases,32,3.13,3.13"
 
 
 def test_exp_bit_identical_reruns(tmp_path):

@@ -185,3 +185,17 @@ def test_check_invariants_catches_via_handcrafted_breakage():
     unsorted = Graph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 1]))
     with pytest.raises(InvariantError, match="not strictly increasing"):
         check_graph_invariants(unsorted)
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, message",
+    [
+        # row 1 would hold -1 entries
+        (np.array([0, 2, 1, 2]), np.array([1, 2]), "indptr decreases"),
+        (np.array([0, 1, 2, 2]), np.array([1.0, 0.0]), "integer dtypes"),
+    ],
+    ids=["decreasing-indptr", "float-indices"],
+)
+def test_check_invariants_rejects_malformed_csr(indptr, indices, message):
+    with pytest.raises(InvariantError, match=message):
+        check_graph_invariants(Graph(3, indptr, indices))
