@@ -127,8 +127,10 @@ def _gnp_edges(n, p, seed, block):
         u = rng.random(block)
         np.clip(u, 1e-300, None, out=u)
         np.log(u, out=u)
-        u /= log_q
+        with np.errstate(divide="ignore", over="ignore"):
+            u /= log_q  # inf where p is tiny or underflowed to 0
         np.floor(u, out=u)
+        np.minimum(u, total, out=u)  # a gap of total already passes the last pair
         positions = u.astype(np.int64)
         del u
         positions += 1
@@ -165,6 +167,8 @@ def gen_gnm(n, avg_deg, seed):
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if not math.isfinite(avg_deg):
+        raise ValueError(f"need a finite avg_deg, got avg_deg={avg_deg}")
     m = int(round(n * avg_deg / 2))
     total = n * (n - 1) // 2
     if m < 0 or m > total:

@@ -211,10 +211,8 @@ def check_graph_invariants(g):
     src = np.repeat(np.arange(g.n, dtype=np.int64), row_sizes)
     if (src == g.indices).any():
         raise InvariantError("self-loop present")
-    # strictly increasing within each row: the only non-increases in the
-    # flat indices array may sit at row boundaries
-    flat_drops = np.flatnonzero(np.diff(g.indices) <= 0) + 1
-    if not np.isin(flat_drops, g.indptr[1:-1]).all():
+    # ids are in range, so (row, id) keys rise strictly iff every row does
+    if (np.diff(src * g.n + g.indices) <= 0).any():
         raise InvariantError("adjacency rows not strictly increasing")
     if build_graph(g.n, np.column_stack((src, g.indices))) != g:
         raise InvariantError("adjacency not symmetric")

@@ -51,21 +51,16 @@ class AggregateStats:
 def reduce_instance(inst, lossy):
     """Apply isolated once, pendant exhaustively, then optionally lossy once.
 
-    Mutates ``inst`` and returns the trace of applied records. The lossy pair
-    map is checked against the reduced instance, where its images must still
-    be blue; an invalid one raises InvariantError.
+    Mutates ``inst`` and returns the trace, one record per rule run. The
+    lossy pair map is checked against the reduced instance, where its images
+    must still be blue; an invalid one raises InvariantError.
     """
-    trace = ReductionTrace()
-    rec = rr_isolated(inst)
-    if rec is not None:
-        trace.records.append(rec)
-    trace.records.extend(rr_pendant_exhaustive(inst))
+    trace = ReductionTrace([rr_isolated(inst), *rr_pendant_exhaustive(inst)])
     if lossy:
         rec = rr_lossy2(inst)
-        if rec is not None:
-            if not verify_psi(inst, rec.psi):
-                raise InvariantError("lossy rule produced an invalid pair map")
-            trace.records.append(rec)
+        if not verify_psi(inst, rec.psi):
+            raise InvariantError("lossy rule produced an invalid pair map")
+        trace.records.append(rec)
     return trace
 
 

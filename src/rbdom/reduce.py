@@ -1,7 +1,9 @@
 """Recoloring reduction rules, their lifting records, and the pair-map checker.
 
-Three rules, each recoloring blue vertices red and recording the vertex set
-its lifting step must union back into a solution:
+Three rules, each recoloring blue vertices red. Every run of a rule (each
+application, for the pendant rule) returns one record: the vertex set its
+lifting step must union back into a solution, empty when the run recolored
+nothing.
 
 * isolated: every isolated blue vertex goes red; lifting adds all of them.
   Applied once per pipeline.
@@ -38,7 +40,7 @@ class LiftRecord:
 
 @dataclass
 class ReductionTrace:
-    """Applied records in order; lifting unions their add-sets."""
+    """One record per rule run, in order; lifting unions their add-sets."""
 
     records: list = field(default_factory=list)
 
@@ -49,11 +51,8 @@ def scd_nbr(g):
 
 
 def rr_isolated(inst):
-    """Recolor all isolated blue vertices red; None if there are none."""
-    g = inst.graph
-    iso = np.flatnonzero((np.diff(g.indptr) == 0) & inst.blue)
-    if iso.size == 0:
-        return None
+    """Recolor all isolated blue vertices red; the record adds all of them."""
+    iso = np.flatnonzero((inst.graph.degrees() == 0) & inst.blue)
     inst.blue[iso] = False
     return LiftRecord(frozenset(iso.tolist()))
 
@@ -80,7 +79,7 @@ def rr_pendant_exhaustive(inst):
 
 
 def rr_lossy2(inst):
-    """Apply the lossy rule once; None if no (x, image) pair can be formed.
+    """Apply the lossy rule once; the record is empty if no (x, image) pair forms.
 
     One greedy pass pairing pool vertices x with far-apart images z. Pool =
     blue vertices not yet excluded. Repeatedly pops the pool vertex x with
@@ -164,8 +163,6 @@ def rr_lossy2(inst):
                 blocked[t] = 1
 
     inst.blue[:] = np.frombuffer(blue, np.bool_)
-    if not images:
-        return None
     return LiftRecord(frozenset(images), images)
 
 

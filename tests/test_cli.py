@@ -65,6 +65,14 @@ def test_gen_names_each_missing_model_param(tmp_path, capsys, model, given, miss
     assert not out.exists()
 
 
+def test_gen_rejects_infinite_avg_deg(tmp_path, capsys):
+    out = tmp_path / "x.el"
+    code = cli_main(["gen", "--model", "gnm", "--n", "10", "--avg-deg", "inf", "--out", str(out)])
+    assert code == 1
+    assert "error: need a finite avg_deg, got avg_deg=inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_modes(graph_file, capsys):
     for mode, label in (("aa", "AA"), ("la", "LA"), ("greedy", "GREEDY")):
         assert cli_main(["solve", "--input", str(graph_file), "--mode", mode]) == 0

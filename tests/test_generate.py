@@ -30,6 +30,16 @@ def test_gnp_rejects_bad_params():
         gen_gnp(0, 1.0, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "n, avg_deg, seed", [(10, 1e-300, 1), (50, 1e-290, 5), (10, 1e-310, 1), (10, 5e-324, 1)]
+)
+def test_gnp_tiny_avg_deg_is_edgeless(n, avg_deg, seed):
+    # gaps beyond int64 (or infinite, once p underflows to 0) pass every pair
+    g = gen_gnp(n, avg_deg, seed)
+    assert (g.n, g.m) == (n, 0)
+
+
 def test_gnp_deterministic_and_wellformed():
     a = gen_gnp(500, 8.0, 11)
     b = gen_gnp(500, 8.0, 11)
@@ -76,6 +86,13 @@ def test_gnm_deterministic():
 def test_gnm_rejects_overfull():
     with pytest.raises(ValueError):
         gen_gnm(4, 4.0, 1)  # m=8 > C(4,2)=6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("avg_deg", [float("inf"), float("-inf"), float("nan")])
+def test_gnm_rejects_non_finite_avg_deg(avg_deg):
+    with pytest.raises(ValueError, match="avg_deg"):
+        gen_gnm(10, avg_deg, 1)
 
 
 def test_ws_ring_lattice_at_p_zero():

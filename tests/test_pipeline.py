@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from rbdom import (
     Approximator,
     InvariantError,
+    LiftRecord,
     aggregate,
     all_blue,
     approximate,
@@ -132,6 +133,21 @@ def test_aggregate_empty_rejected():
         aggregate([], "none")
 
 
+@pytest.mark.parametrize(
+    "k, lossy_rec",
+    [(9, LiftRecord(frozenset({3}), {3: 5})), (7, LiftRecord(frozenset(), {}))],
+)
+def test_trace_holds_one_record_per_rule_run(k, lossy_rec):
+    # P_k has pendants at both ends and no isolated vertex
+    trace = reduce_instance(all_blue(path_graph(k)), lossy=True)
+    assert trace.records == [
+        LiftRecord(frozenset()),
+        LiftRecord(frozenset({1})),
+        LiftRecord(frozenset({k - 2})),
+        lossy_rec,
+    ]
+
+
 def test_aa_strictness_bound_on_exact_instances(rng):
     # lifted ratio <= max(drop-in ratio on the reduced instance, 1)
     for _ in range(25):
@@ -186,7 +202,7 @@ def test_lossy_rule_bounds_against_milp_optimum(inst):
     opt = milp_optimum(inst)
     trace = reduce_instance(inst, lossy=True)
     opt_red = milp_optimum(inst)
-    assert all(len(rec.add_set) <= opt_red for rec in trace.records if rec.psi is not None)
+    assert len(trace.records[-1].add_set) <= opt_red  # the lossy record comes last
     added = sum(len(rec.add_set) for rec in trace.records)
     assert opt_red + added <= 2 * opt
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbdom import (
+    LiftRecord,
     RBInstance,
     ReductionTrace,
     all_blue,
@@ -36,15 +37,14 @@ def test_isolated_recolors_all():
     g = build_graph(3, [])
     inst = all_blue(g)
     rec = rr_isolated(inst)
-    assert rec.psi is None
-    assert rec.add_set == {0, 1, 2}
+    assert rec == LiftRecord(frozenset({0, 1, 2}))
     assert inst.blue_count == 0
     assert lift(ReductionTrace([rec]), set()) == {0, 1, 2}
 
 
 def test_isolated_noop_on_path():
     inst = all_blue(path_graph(3))
-    assert rr_isolated(inst) is None
+    assert rr_isolated(inst) == LiftRecord(frozenset())
     assert inst.blue_count == 3
 
 
@@ -110,7 +110,7 @@ def test_lossy_p7():
 
 def test_lossy_noop_when_all_red():
     inst = RBInstance(build_graph(2, [(0, 1)]), np.zeros(2, dtype=bool))
-    assert rr_lossy2(inst) is None
+    assert rr_lossy2(inst) == LiftRecord(frozenset(), {})
 
 
 def test_lossy_matches_reference(rng):
@@ -120,9 +120,6 @@ def test_lossy_matches_reference(rng):
         before = inst.copy()
         rec = rr_lossy2(inst)
         xs, psi, blue = lossy_reference(g, range(g.n))
-        if rec is None:
-            assert xs == []
-            continue
         assert sorted(rec.add_set) == sorted(xs)
         assert list(rec.psi) == xs
         assert rec.psi == psi
@@ -141,13 +138,10 @@ def test_lossy_after_pendant_pipeline(rng):
         before = inst.copy()
         rec = rr_lossy2(inst)
         xs, psi, blue = lossy_reference(g, mid_blue)
-        if rec is None:
-            assert xs == []
-        else:
-            assert list(rec.psi) == xs
-            assert rec.psi == psi
-            assert set(np.flatnonzero(inst.blue).tolist()) == blue
-            assert verify_psi(before, rec.psi)
+        assert list(rec.psi) == xs
+        assert rec.psi == psi
+        assert set(np.flatnonzero(inst.blue).tolist()) == blue
+        assert verify_psi(before, rec.psi)
 
 
 @settings(max_examples=200)
@@ -157,9 +151,6 @@ def test_lossy_matches_reference_on_coloured_instances(inst):
     rec = rr_lossy2(inst)
     assert inst.blue.dtype == np.bool_
     assert set(np.flatnonzero(inst.blue).tolist()) == blue
-    if rec is None:
-        assert xs == []
-        return
     assert list(rec.psi) == xs
     assert rec.psi == psi
     assert all(type(x) is int and type(z) is int for x, z in rec.psi.items())
@@ -215,9 +206,8 @@ def test_verify_psi_matches_reference(inst, data):
     assert verify_psi(inst, psi) == verify_psi_reference(inst, psi)
     before = inst.copy()
     rec = rr_lossy2(inst)
-    if rec is not None:
-        for psi in (rec.psi, {**rec.psi, data.draw(ids): data.draw(ids)}):
-            assert verify_psi(before, psi) == verify_psi_reference(before, psi)
+    for psi in (rec.psi, {**rec.psi, data.draw(ids): data.draw(ids)}):
+        assert verify_psi(before, psi) == verify_psi_reference(before, psi)
 
 
 def test_lift_identity_and_union():
@@ -260,8 +250,6 @@ def test_images_stay_blue_after_lossy(inst):
     # the image set is a certified packing inside the reduced blue set
     before = inst.copy()
     rec = rr_lossy2(inst)
-    if rec is None:
-        return
     blue_after = set(np.flatnonzero(inst.blue).tolist())
     assert set(rec.psi.values()) <= blue_after
     assert verify_psi(before, rec.psi)
