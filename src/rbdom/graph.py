@@ -195,8 +195,8 @@ def check_graph_invariants(g):
     symmetric exactly when ``build_graph`` rebuilds it unchanged from its
     own entries: the rebuild adds every missing reverse entry.
     """
-    if g.indptr.dtype.kind not in "iu" or g.indices.dtype.kind not in "iu":
-        raise InvariantError("indptr and indices must have integer dtypes")
+    if g.indptr.dtype.kind != "i" or g.indices.dtype.kind != "i":
+        raise InvariantError("indptr and indices must have signed integer dtypes")
     if g.indptr.shape[0] != g.n + 1 or g.indptr[0] != 0:
         raise InvariantError("indptr shape/start mismatch")
     row_sizes = np.diff(g.indptr)

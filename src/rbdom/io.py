@@ -211,7 +211,13 @@ def parse_matrix_market(text):
 
 
 def load_graph(path):
-    """Read a graph file: Matrix Market if it opens with the banner, else an edge list."""
+    """Read a graph file: Matrix Market if it opens with the banner, else an edge list.
+
+    The file is read in text mode, which turns CRLF and lone CR into LF
+    before either reader sees the text. So a CRLF edge list can take the
+    bulk path, and a file with lone CR line ends loads, although
+    ``parse_edge_list`` on the same text fails at its header line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.startswith(_MM_BANNER):

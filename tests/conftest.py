@@ -265,15 +265,15 @@ def lossy_reference(g, blue):
     return xs, psi, blue
 
 
-def verify_psi_reference(inst_before, images):
+def verify_psi_reference(inst, images):
     """The per-vertex pair-map checker verify_psi replaced; images is x -> psi(x).
 
-    True iff psi is injective into the then-blue vertices outside X, no
-    image touches the closed neighborhood of its own x or the open
+    True iff psi is injective into the blue vertices of ``inst`` outside X,
+    no image touches the closed neighborhood of its own x or the open
     neighborhood of any x, and image closed neighborhoods are pairwise
     disjoint.
     """
-    g = inst_before.graph
+    g = inst.graph
     if not images:
         return True
     xs = list(images)
@@ -284,7 +284,7 @@ def verify_psi_reference(inst_before, images):
     x_flags = np.zeros(g.n, dtype=np.bool_)
     x_flags[xs] = True
     for z in zs:
-        if not inst_before.blue[z] or x_flags[z]:
+        if not inst.blue[z] or x_flags[z]:
             return False
 
     z_flags = np.zeros(g.n, dtype=np.bool_)

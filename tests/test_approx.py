@@ -8,10 +8,12 @@ from rbdom import (
     RBInstance,
     all_blue,
     approximate,
+    build_graph,
     degeneracy_order,
     is_valid_solution,
 )
 from rbdom.approx import _greedy_picks, _heap_pop, _heap_push
+from rbdom.exact import _greedy_cover, _masks
 from rbdom.generate import gen_barabasi_albert, gen_gnp, gen_watts_strogatz
 from rbdom.pipeline import reduce_instance
 
@@ -49,7 +51,10 @@ def test_heap_sorts(rng):
 
 
 def _check_against_reference(g, colourings):
-    """Pick order, not only the set, under both tie rules."""
+    """Pick order, not only the set, under both tie rules.
+
+    The exact solver's bitset incumbent must take the lowest-id picks too.
+    """
     ident = np.arange(g.n, dtype=np.int64)
     order, _ = degeneracy_order(g)
     rank = np.empty(g.n, dtype=np.int64)
@@ -64,18 +69,20 @@ def _check_against_reference(g, colourings):
             want = greedy_cover_reference(g, targets, tie)
             assert _greedy_picks(g, blue.copy(), tie, untie) == want
             assert approximate(inst, which) == set(want)
+        assert _greedy_cover(*_masks(inst)) == greedy_cover_reference(g, targets)
         assert np.array_equal(inst.blue, blue)  # caller state untouched
 
 
 def test_matches_reference_greedy(rng):
-    # three colourings of small random graphs, then all-blue and LA-reduced
-    # mid-size generator graphs, whose heaps go several levels deeper
-    for _ in range(60):
-        g = random_graph(rng, n_max=30)
+    # the empty graph and four colourings of small random graphs, then
+    # all-blue and LA-reduced mid-size generator graphs, whose heaps go
+    # several levels deeper
+    for g in [build_graph(0, [])] + [random_graph(rng, n_max=30) for _ in range(60)]:
         reduced = all_blue(g)
         reduce_instance(reduced, lossy=True)
         _check_against_reference(
-            g, (np.ones(g.n, dtype=bool), rng.random(g.n) < 0.5, reduced.blue)
+            g,
+            (np.ones(g.n, bool), rng.random(g.n) < 0.5, np.zeros(g.n, bool), reduced.blue),
         )
     for g in (
         gen_gnp(300, 6.0, 1),

@@ -167,7 +167,9 @@ def test_degeneracy_order_properties(rng):
 
 def test_check_invariants_passes_on_built_graphs(rng):
     for _ in range(10):
-        check_graph_invariants(random_graph(rng))
+        g = random_graph(rng)
+        check_graph_invariants(g)
+        check_graph_invariants(Graph(g.n, g.indptr.astype(np.int32), g.indices.astype(np.int32)))
 
 
 def test_check_invariants_catches_via_handcrafted_breakage():
@@ -193,8 +195,11 @@ def test_check_invariants_catches_via_handcrafted_breakage():
         # row 1 would hold -1 entries
         (np.array([0, 2, 1, 2]), np.array([1, 2]), "indptr decreases"),
         (np.array([0, 1, 2, 2]), np.array([1.0, 0.0]), "integer dtypes"),
+        # the path 0-1-2, valid but for its unsigned arrays
+        (np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1], np.uint64), "signed integer dtypes"),
+        (np.array([0, 1, 3, 4], np.uint64), np.array([1, 0, 2, 1]), "signed integer dtypes"),
     ],
-    ids=["decreasing-indptr", "float-indices"],
+    ids=["decreasing-indptr", "float-indices", "uint64-indices", "uint64-indptr"],
 )
 def test_check_invariants_rejects_malformed_csr(indptr, indices, message):
     with pytest.raises(InvariantError, match=message):

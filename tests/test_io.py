@@ -11,6 +11,7 @@ from rbdom import (
     UnsupportedFormatError,
     build_graph,
     gen_gnp,
+    load_graph,
     parse_edge_list,
     parse_matrix_market,
     write_edge_list,
@@ -152,6 +153,24 @@ def test_bulk_reader_takes_written_text(rng):
         n, edges = parsed
         assert n == g.n
         assert edges.tolist() == g.edge_array().tolist()
+
+
+@pytest.mark.parametrize(
+    "text, parse_error",
+    [("3 2\r\n0 1\r\n1 2\r\n", None), ("3 2\r0 1\r1 2\r", "line 1: expected header 'n m'")],
+    ids=["crlf", "lone_cr"],
+)
+def test_load_graph_reads_cr_line_ends_in_bulk(tmp_path, text, parse_error):
+    """Text mode turns CRLF and lone CR into LF, so the bulk path reads both files."""
+    path = tmp_path / "g.el"
+    path.write_bytes(text.encode())
+    with patch("rbdom.io._scan_edge_list", side_effect=AssertionError("scanner used")):
+        assert load_graph(path) == path_graph(3)
+    if parse_error is None:
+        assert parse_edge_list(text) == path_graph(3)
+    else:
+        with pytest.raises(ParseError, match=parse_error):
+            parse_edge_list(text)
 
 
 # one of these, or none, is applied to each drawn text

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 
@@ -9,12 +7,9 @@ from rbdom import (
     LiftRecord,
     aggregate,
     all_blue,
-    approximate,
-    brute_force_min,
     build_graph,
     improvement_pct,
     is_valid_solution,
-    lift,
     run_exp_aa,
     run_exp_la,
     run_instance,
@@ -146,44 +141,6 @@ def test_trace_holds_one_record_per_rule_run(k, lossy_rec):
         LiftRecord(frozenset({k - 2})),
         lossy_rec,
     ]
-
-
-def test_aa_strictness_bound_on_exact_instances(rng):
-    # lifted ratio <= max(drop-in ratio on the reduced instance, 1)
-    for _ in range(25):
-        g = random_graph(rng, n_max=12, n_min=1)
-        opt = domination_number(g)
-        if opt == 0:
-            continue
-        inst = all_blue(g)
-        trace = reduce_instance(inst, lossy=False)
-        s_red = approximate(inst)
-        opt_red = len(brute_force_min(inst))
-        lifted = lift(trace, s_red)
-        assert is_valid_solution(all_blue(g), lifted)
-        lhs = Fraction(len(lifted), opt)
-        if opt_red == 0:
-            assert lhs <= 1
-        else:
-            assert lhs <= max(Fraction(len(s_red), opt_red), Fraction(1))
-
-
-def test_la_factor_two_bound_on_exact_instances(rng):
-    for _ in range(25):
-        g = random_graph(rng, n_max=12, n_min=1)
-        opt = domination_number(g)
-        if opt == 0:
-            continue
-        inst = all_blue(g)
-        trace = reduce_instance(inst, lossy=True)
-        s_red = approximate(inst)
-        opt_red = len(brute_force_min(inst))
-        lifted = lift(trace, s_red)
-        lhs = Fraction(len(lifted), opt)
-        if opt_red == 0:
-            assert lhs <= 1
-        else:
-            assert lhs <= 2 * Fraction(len(s_red), opt_red)
 
 
 @settings(max_examples=150)
