@@ -15,13 +15,16 @@ from rbdom import (
     exact_min,
     is_valid_solution,
 )
+from rbdom.exact import _greedy_cover, _masks
 from rbdom.generate import gen_barabasi_albert, gen_gnp, gen_watts_strogatz
+from rbdom.pipeline import reduce_instance
 
 from conftest import (
     coloured_instances,
     cycle_graph,
     domination_number,
     exact_min_reference,
+    greedy_cover_reference,
     milp_optimum,
     path_graph,
     random_graph,
@@ -171,6 +174,19 @@ def test_lower_bound_is_valid(rng):
         inst = all_blue(g)
         _, _, lb = exact_min(inst, 10.0)
         assert lb <= domination_number(g)
+
+
+def test_incumbent_matches_greedy_reference(rng):
+    # the bitset greedy picks what GREEDY_COVER picks, in the same order
+    graphs = [build_graph(0, [])]
+    graphs += [random_graph(rng, n_max=30) for _ in range(20)]
+    graphs += [gen_gnp(300, 6.0, 1), gen_barabasi_albert(200, 3, 2), gen_watts_strogatz(250, 6, 0.3, 3)]
+    for g in graphs:
+        reduced = all_blue(g)
+        reduce_instance(reduced, lossy=True)
+        for blue in (np.ones(g.n, bool), rng.random(g.n) < 0.4, np.zeros(g.n, bool), reduced.blue):
+            picks = _greedy_cover(*_masks(RBInstance(g, blue)))
+            assert picks == greedy_cover_reference(g, np.flatnonzero(blue).tolist())
 
 
 def _same_as_reference(inst, budget):
